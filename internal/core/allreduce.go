@@ -46,12 +46,16 @@ type allreduceState struct {
 
 	// Large path: binomial reduce to the first participating node fused
 	// with the broadcast back.
-	emb        gEmbed
-	pslot      [][2][]byte
-	arr        [][2]*rma.Counter
-	credit     []*rma.Counter
-	chunkDone  *shm.Flag // at the root master: chunks fully reduced
-	bArr       [][2]*rma.Counter
+	emb       gEmbed
+	pslot     [][2][]byte
+	arr       [][2]*rma.Counter
+	credit    []*rma.Counter
+	chunkDone *shm.Flag // at the root master: chunks fully reduced
+	// Broadcast-stage arrivals, one counter per chunk: nothing throttles
+	// the broadcast puts, so under reliable delivery a retransmitted chunk
+	// k can land after chunk k+2, and a per-parity count would mistake
+	// that arrival for chunk k's.
+	bArr       [][]*rma.Counter // [node][chunk]
 	helperDone []*sim.Event
 }
 
@@ -112,7 +116,7 @@ func newAllreduceState(g *Group, size int, ds dataspec) *allreduceState {
 		a.pslot = make([][2][]byte, nn)
 		a.arr = make([][2]*rma.Counter, nn)
 		a.credit = make([]*rma.Counter, nn)
-		a.bArr = make([][2]*rma.Counter, nn)
+		a.bArr = make([][]*rma.Counter, nn)
 		a.helperDone = make([]*sim.Event, nn)
 		a.chunkDone = shm.NewFlag(s.m, g.lay.nodes[0])
 		for x := 0; x < nn; x++ {
@@ -122,10 +126,7 @@ func newAllreduceState(g *Group, size int, ds dataspec) *allreduceState {
 				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 			}
 			a.credit[x] = s.dom.NewCounter(2).TraceClass(trace.ClassWaitCredit)
-			a.bArr[x] = [2]*rma.Counter{
-				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-			}
+			a.bArr[x] = s.arrivalCounters(len(a.sp))
 			a.helperDone[x] = s.m.Env.NewEvent()
 		}
 	}
@@ -142,6 +143,18 @@ func (s *SRM) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type,
 // Allreduce combines the group members' send buffers into every member's
 // recv.
 func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
+	p.Await(func(t *sim.Task, k func()) { g.AllreduceT(t, rank, send, recv, dt, op, k) })
+}
+
+// AllreduceT is Allreduce in continuation-passing form: kont runs once
+// it completes.
+func (s *SRM) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	s.World().AllreduceT(t, rank, send, recv, dt, op, kont)
+}
+
+// AllreduceT combines the group members' send buffers into every member's
+// recv, then runs kont.
+func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
 	ds := dataspec{dt: dt, op: op}
 	if err := ds.validate(len(send)); err != nil {
 		panic(err)
@@ -154,57 +167,55 @@ func (g *Group) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Typ
 	switch g.s.allreduceAlg(len(send)) {
 	case AlgRing:
 		st, release := g.acquire(rank, func() any { return newRingState(g, len(send), ds) })
-		defer release()
 		a := st.(*ringState)
 		a.check(len(send), ds, rank)
-		a.run(p, rank, send, recv)
+		a.run(t, rank, send, recv, opDone(t, release, kont))
 		return
 	case AlgRHD:
 		st, release := g.acquire(rank, func() any { return newRHDState(g, len(send), ds) })
-		defer release()
 		a := st.(*rhdState)
 		a.check(len(send), ds, rank)
-		a.run(p, rank, send, recv)
+		a.run(t, rank, send, recv, opDone(t, release, kont))
 		return
 	case AlgDualRoot:
 		st, release := g.acquire(rank, func() any { return newDualRootState(g, len(send), ds) })
-		defer release()
 		a := st.(*dualRootState)
 		a.check(len(send), ds, rank)
-		a.run(p, rank, send, recv)
+		a.run(t, rank, send, recv, opDone(t, release, kont))
 		return
 	}
 	st, release := g.acquire(rank, func() any { return newAllreduceState(g, len(send), ds) })
-	defer release()
 	a := st.(*allreduceState)
 	if a.size != len(send) || a.ds != ds {
 		panic(fmt.Sprintf("core: Allreduce mismatch at rank %d", rank))
 	}
-	a.run(p, rank, send, recv)
+	a.run(t, rank, send, recv, opDone(t, release, kont))
 }
 
-func (a *allreduceState) run(p *sim.Proc, rank int, send, recv []byte) {
+func (a *allreduceState) run(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	g := a.g
 	x := g.lay.ni[rank]
 	l := g.lay.li[rank]
 	if l != 0 {
 		// Workers contribute every chunk to the SMP reduce, then consume
 		// the distributed result.
-		a.rn[x].worker(p, l, send, a.sp, a.ds)
-		for k, c := range a.sp {
-			a.pub[x].Consume(p, l, k, recv[c.off:c.off+c.n])
-		}
+		a.rn[x].worker(t, l, send, a.sp, a.ds, func() {
+			consumeAll(t, a.pub[x], l, a.sp, recv, kont)
+		})
 		return
 	}
 	a.resBuf[x] = recv
 	a.resReady[x].Trigger()
 	ep := g.s.dom.Endpoint(rank)
 	enable := g.s.quietNet(ep, a.size)
-	defer enable()
+	fin := func() {
+		enable()
+		kont()
+	}
 	if a.small {
-		a.masterSmall(p, ep, x, send, recv)
+		a.masterSmall(t, ep, x, send, recv, fin)
 	} else {
-		a.masterLarge(p, ep, x, send, recv)
+		a.masterLarge(t, ep, x, send, recv, fin)
 	}
 }
 
@@ -215,72 +226,106 @@ func (a *allreduceState) master(x int) *rma.Endpoint {
 
 // masterSmall: SMP reduce into recv, recursive-doubling exchange between
 // masters (§2.4 Allreduce), SMP broadcast of the result.
-func (a *allreduceState) masterSmall(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
+func (a *allreduceState) masterSmall(t *sim.Task, ep *rma.Endpoint, x int, send, recv []byte, kont func()) {
 	g := a.g
 	s := g.s
 	nn := len(g.lay.nodes)
-	have := a.rn[x].masterChunk(p, 0, recv, send, a.ds)
+
+	// have/cur/combine are single-task sequential state, safe to capture.
+	have := false
 	cur := func() []byte {
 		if have {
 			return recv
 		}
 		return send
 	}
-	combine := func(src []byte) {
+	combine := func(src []byte, k func()) {
 		if a.size > 0 {
 			if have {
 				a.ds.acc(recv, src)
 			} else {
 				a.ds.into(recv, send, src)
 			}
-			s.combineCharge(p, a.size, a.ds.dt.Size())
+			have = true
+			s.combineCharge(t, a.size, a.ds.dt.Size(), k)
+			return
 		}
 		have = true
+		k()
 	}
-	if x >= a.pow {
-		// Fold out: hand the node partial to the peer, then receive the
-		// final result straight into recv.
-		peer := x - a.pow
-		ep.Put(p, a.master(peer), a.foldSlot[peer], cur(), nil, a.foldArr[peer], nil)
-		ep.Waitcntr(p, a.resArr[x], 1)
-	} else {
-		if x+a.pow < nn {
-			ep.Waitcntr(p, a.foldArr[x], 1)
-			combine(a.foldSlot[x])
+
+	// Distribute the result on the node once the exchange is done.
+	publish := func() {
+		a.pub[x].Publish(t, 0, recv, false, func() {
+			a.pub[x].waitConsumed(t, 0, kont)
+		})
+	}
+
+	a.rn[x].masterChunk(t, 0, recv, send, a.ds, func(h bool) {
+		have = h
+		if x >= a.pow {
+			// Fold out: hand the node partial to the peer, then receive the
+			// final result straight into recv.
+			peer := x - a.pow
+			ep.PutT(t, a.master(peer), a.foldSlot[peer], cur(), nil, a.foldArr[peer], nil, func() {
+				ep.WaitcntrT(t, a.resArr[x], 1, publish)
+			})
+			return
 		}
-		for r := 0; r < len(a.rdArr[x]); r++ {
+		unfold := func() {
+			tail := func() {
+				if !have && a.size > 0 {
+					s.m.MemcpyT(t, g.lay.nodes[x], recv, send, publish) // single node, single task
+					return
+				}
+				publish()
+			}
+			if x+a.pow < nn {
+				// Return the full result to the folded-out node's recv buffer.
+				extra := x + a.pow
+				a.resReady[extra].WaitT(t, func() {
+					ep.PutT(t, a.master(extra), a.resBuf[extra], cur(), nil, a.resArr[extra], nil, tail)
+				})
+				return
+			}
+			tail()
+		}
+		var round func(r int)
+		round = func(r int) {
+			if r >= len(a.rdArr[x]) {
+				unfold()
+				return
+			}
 			partner := x ^ (1 << r)
-			ep.Put(p, a.master(partner), a.rdSlot[partner][r], cur(),
-				nil, a.rdArr[partner][r], nil)
-			ep.Waitcntr(p, a.rdArr[x][r], 1)
-			combine(a.rdSlot[x][r])
+			ep.PutT(t, a.master(partner), a.rdSlot[partner][r], cur(),
+				nil, a.rdArr[partner][r], nil, func() {
+					ep.WaitcntrT(t, a.rdArr[x][r], 1, func() {
+						combine(a.rdSlot[x][r], func() { round(r + 1) })
+					})
+				})
 		}
 		if x+a.pow < nn {
-			// Return the full result to the folded-out node's recv buffer.
-			extra := x + a.pow
-			p.Wait(a.resReady[extra])
-			ep.Put(p, a.master(extra), a.resBuf[extra], cur(), nil, a.resArr[extra], nil)
+			ep.WaitcntrT(t, a.foldArr[x], 1, func() {
+				combine(a.foldSlot[x], func() { round(0) })
+			})
+			return
 		}
-		if !have && a.size > 0 {
-			s.m.Memcpy(p, g.lay.nodes[x], recv, send) // single node, single task
-		}
-	}
-	a.pub[x].Publish(p, 0, recv, false)
-	a.pub[x].waitConsumed(p, 0)
+		round(0)
+	})
 }
 
 // masterLarge: the four-stage pipeline of Figure 5. The master's main
 // process runs the reduce stages; a helper process runs the broadcast
 // stages so a chunk can be broadcast while the next one is still being
 // reduced.
-func (a *allreduceState) masterLarge(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
+func (a *allreduceState) masterLarge(t *sim.Task, ep *rma.Endpoint, x int, send, recv []byte, kont func()) {
 	g := a.g
 	s := g.s
 	atRoot := x == a.emb.inter.Root
 	interKids := a.emb.inter.Children[x]
 
 	// Broadcast-side helper.
-	s.m.Env.SpawnIndexed("srm-arb-", x, func(hp *sim.Proc) {
+	s.m.Env.SpawnTask("srm-arb-", x, func(hp *sim.Task) {
 		if tr := s.m.Env.Trace; tr != nil {
 			// The helper gets its own timeline above the rank tracks so its
 			// broadcast-stage spans do not interleave with the reduce side.
@@ -288,59 +333,108 @@ func (a *allreduceState) masterLarge(p *sim.Proc, ep *rma.Endpoint, x int, send,
 			hp.SetTrack(ht)
 			tr.NameTrack(ht, "rank"+strconv.Itoa(ep.Rank)+"-bcast")
 		}
-		defer a.helperDone[x].Trigger()
-		for k, c := range a.sp {
+		var hchunk func(k int)
+		hchunk = func(k int) {
+			if k >= len(a.sp) {
+				a.pub[x].waitConsumed(hp, len(a.sp)-1, func() { a.helperDone[x].Trigger() })
+				return
+			}
+			c := a.sp[k]
+			bcast := func() {
+				src := recv[c.off : c.off+c.n]
+				var child func(i int)
+				child = func(i int) {
+					if i >= len(interKids) {
+						a.pub[x].Publish(hp, k, src, false, func() { hchunk(k + 1) })
+						return
+					}
+					ch := interKids[i]
+					a.resReady[ch].WaitT(hp, func() {
+						dst := a.resBuf[ch][c.off : c.off+c.n]
+						ep.PutT(hp, a.master(ch), dst, src, nil, a.bArr[ch][k], nil, func() {
+							child(i + 1)
+						})
+					})
+				}
+				child(0)
+			}
 			if atRoot {
-				a.chunkDone.WaitGE(hp, k+1)
-			} else {
-				a.bArr[x][k%2].WaitValue(hp, 1)
+				a.chunkDone.WaitGET(hp, k+1, bcast)
+				return
 			}
-			src := recv[c.off : c.off+c.n]
-			for _, child := range interKids {
-				hp.Wait(a.resReady[child])
-				dst := a.resBuf[child][c.off : c.off+c.n]
-				ep.Put(hp, a.master(child), dst, src, nil, a.bArr[child][k%2], nil)
-			}
-			a.pub[x].Publish(hp, k, src, false)
+			a.bArr[x][k].WaitValueT(hp, 1, bcast)
 		}
-		a.pub[x].waitConsumed(hp, len(a.sp)-1)
+		hchunk(0)
 	})
 
 	// Reduce side (same structure as reduceState.master, targeting recv).
-	for k, c := range a.sp {
+	var chunk func(k int)
+	chunk = func(k int) {
+		if k >= len(a.sp) {
+			a.helperDone[x].WaitT(t, kont)
+			return
+		}
+		c := a.sp[k]
 		tchunk := recv[c.off : c.off+c.n]
 		own := send[c.off : c.off+c.n]
-		have := a.rn[x].masterChunk(p, k, tchunk, own, a.ds)
-		for _, child := range interKids {
-			ep.Waitcntr(p, a.arr[child][k%2], 1)
-			slot := a.pslot[child][k%2][:c.n]
-			if c.n > 0 {
-				if have {
-					a.ds.acc(tchunk, slot)
-				} else {
-					a.ds.into(tchunk, own, slot)
+
+		finish := func(have bool) {
+			if !atRoot {
+				src := tchunk
+				if !have {
+					src = own
 				}
-				s.combineCharge(p, c.n, a.ds.dt.Size())
+				ep.WaitcntrT(t, a.credit[x], 1, func() {
+					parent := a.master(a.emb.inter.Parent[x])
+					ep.PutT(t, parent, a.pslot[x][k%2][:c.n], src, nil, a.arr[x][k%2], nil, func() {
+						chunk(k + 1)
+					})
+				})
+				return
 			}
-			have = true
-			if k+2 < len(a.sp) {
-				ep.PutZero(p, a.master(child), a.credit[child])
+			done := func() {
+				a.chunkDone.Set(k + 1)
+				chunk(k + 1)
 			}
-		}
-		if !atRoot {
-			src := tchunk
-			if !have {
-				src = own
-			}
-			ep.Waitcntr(p, a.credit[x], 1)
-			parent := a.master(a.emb.inter.Parent[x])
-			ep.Put(p, parent, a.pslot[x][k%2][:c.n], src, nil, a.arr[x][k%2], nil)
-		} else {
 			if !have && c.n > 0 {
-				s.m.Memcpy(p, g.lay.nodes[x], tchunk, own)
+				s.m.MemcpyT(t, g.lay.nodes[x], tchunk, own, done)
+				return
 			}
-			a.chunkDone.Set(k + 1)
+			done()
 		}
+
+		var child func(i int, have bool)
+		child = func(i int, have bool) {
+			if i >= len(interKids) {
+				finish(have)
+				return
+			}
+			ch := interKids[i]
+			ep.WaitcntrT(t, a.arr[ch][k%2], 1, func() {
+				slot := a.pslot[ch][k%2][:c.n]
+				next := func() {
+					if k+2 < len(a.sp) {
+						ep.PutZeroT(t, a.master(ch), a.credit[ch], func() { child(i+1, true) })
+						return
+					}
+					child(i+1, true)
+				}
+				if c.n > 0 {
+					if have {
+						a.ds.acc(tchunk, slot)
+					} else {
+						a.ds.into(tchunk, own, slot)
+					}
+					s.combineCharge(t, c.n, a.ds.dt.Size(), next)
+					return
+				}
+				next()
+			})
+		}
+
+		a.rn[x].masterChunk(t, k, tchunk, own, a.ds, func(have bool) {
+			child(0, have)
+		})
 	}
-	p.Wait(a.helperDone[x])
+	chunk(0)
 }

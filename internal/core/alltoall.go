@@ -89,6 +89,20 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 // blk-byte block per member (group order), and its recv receives member
 // j's block for i at group offset j. len(send) = len(recv) = Size()*blk.
 func (g *Group) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
+	p.Await(func(t *sim.Task, k func()) { g.AlltoallT(t, rank, send, recv, k) })
+}
+
+// Alltoall is Group.Alltoall over all ranks.
+func (s *SRM) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
+	s.World().Alltoall(p, rank, send, recv)
+}
+
+// groupRank returns a member's group rank (its block index).
+func (a *alltoallState) groupRank(rank int) int { return a.pos[rank] }
+
+// AlltoallT is Alltoall in continuation-passing form: kont runs once
+// it completes.
+func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	if len(send) != len(recv) {
 		panic(fmt.Sprintf("core: Alltoall send %d / recv %d bytes", len(send), len(recv)))
 	}
@@ -98,23 +112,28 @@ func (g *Group) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
 	}
 	blk := len(send) / g.Size()
 	st, release := g.acquire(rank, func() any { return newAlltoallState(g, blk) })
-	defer release()
 	a := st.(*alltoallState)
 	if a.blk != blk {
 		panic(fmt.Sprintf("core: Alltoall mismatch at rank %d", rank))
 	}
+	fin := opDone(t, release, kont)
 	if a.direct {
-		a.runDirect(p, rank, send, recv)
+		a.runDirect(t, rank, send, recv, fin)
 	} else {
-		a.run(p, rank, send, recv)
+		a.run(t, rank, send, recv, fin)
 	}
+}
+
+// AlltoallT is Group.AlltoallT over all ranks.
+func (s *SRM) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont func()) {
+	s.World().AlltoallT(t, rank, send, recv, kont)
 }
 
 // runDirect is the large-block path: every member writes each outgoing
 // block straight into its destination's receive buffer — a put across
 // nodes, a shared-memory copy within one — and waits until its own P-1
 // inbound blocks have landed.
-func (a *alltoallState) runDirect(p *sim.Proc, rank int, send, recv []byte) {
+func (a *alltoallState) runDirect(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	g := a.g
 	s := g.s
 	gi := a.pos[rank]
@@ -124,30 +143,36 @@ func (a *alltoallState) runDirect(p *sim.Proc, rank int, send, recv []byte) {
 	a.recvBuf[gi] = recv
 	a.registered[gi].Trigger()
 	// Own block stays local.
-	s.m.Memcpy(p, node, recv[gi*blk:(gi+1)*blk], send[gi*blk:(gi+1)*blk])
-	ep := s.dom.Endpoint(rank)
-	for step := 1; step < P; step++ {
-		gj := (gi + step) % P
-		target := g.lay.members[gj]
-		p.Wait(a.registered[gj])
-		dst := a.recvBuf[gj][gi*blk : (gi+1)*blk]
-		src := send[gj*blk : (gj+1)*blk]
-		if g.s.m.NodeOf(target) == node {
-			s.m.Memcpy(p, node, dst, src)
-			a.blkArr[gj].Incr(1)
-		} else {
-			ep.Put(p, s.dom.Endpoint(target), dst, src, nil, a.blkArr[gj], nil)
+	s.m.MemcpyT(t, node, recv[gi*blk:(gi+1)*blk], send[gi*blk:(gi+1)*blk], func() {
+		ep := s.dom.Endpoint(rank)
+		var step func(n int)
+		step = func(n int) {
+			if n >= P {
+				ep.WaitcntrT(t, a.blkArr[gi], P-1, kont)
+				return
+			}
+			gj := (gi + n) % P
+			target := g.lay.members[gj]
+			a.registered[gj].WaitT(t, func() {
+				dst := a.recvBuf[gj][gi*blk : (gi+1)*blk]
+				src := send[gj*blk : (gj+1)*blk]
+				if g.s.m.NodeOf(target) == node {
+					s.m.MemcpyT(t, node, dst, src, func() {
+						a.blkArr[gj].Incr(1)
+						step(n + 1)
+					})
+					return
+				}
+				ep.PutT(t, s.dom.Endpoint(target), dst, src, nil, a.blkArr[gj], nil, func() {
+					step(n + 1)
+				})
+			})
 		}
-	}
-	ep.Waitcntr(p, a.blkArr[gi], P-1)
+		step(1)
+	})
 }
 
-// Alltoall is Group.Alltoall over all ranks.
-func (s *SRM) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	s.World().Alltoall(p, rank, send, recv)
-}
-
-func (a *alltoallState) run(p *sim.Proc, rank int, send, recv []byte) {
+func (a *alltoallState) run(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	g := a.g
 	s := g.s
 	x := g.lay.ni[rank]
@@ -156,10 +181,79 @@ func (a *alltoallState) run(p *sim.Proc, rank int, send, recv []byte) {
 	nn := len(g.lay.nodes)
 	blk := a.blk
 
+	// Phase 3: pick this member's column out of every inbound slab.
+	pick := func() {
+		a.ready[x].WaitForT(t, 1, func() {
+			var col func(y int)
+			col = func(y int) {
+				if y >= nn {
+					kont()
+					return
+				}
+				srcs := g.lay.local[y]
+				if blk == 0 || len(srcs) == 0 {
+					col(y + 1)
+					return
+				}
+				for lj, src := range srcs {
+					slab := a.in[x][y]
+					from := slab[(lj*len(g.lay.local[x])+li)*blk : (lj*len(g.lay.local[x])+li+1)*blk]
+					off := a.groupRank(src) * blk
+					copy(recv[off:off+blk], from)
+				}
+				s.m.ChargeCopyT(t, node, len(srcs)*blk, func() {
+					s.m.Stats.AddCopy(len(srcs) * blk)
+					col(y + 1)
+				})
+			}
+			col(0)
+		})
+	}
+
+	exchange := func() {
+		a.staged[x].Flag(li).Set(1)
+		if rank != g.lay.local[x][0] {
+			pick()
+			return
+		}
+		// Master: wait for local staging, exchange slabs pairwise.
+		a.staged[x].WaitAllT(t, 1, func() {
+			ep := s.dom.Endpoint(rank)
+			var put func(d int)
+			put = func(d int) {
+				if d >= nn {
+					// The node's own slab transfers through shared memory.
+					a.in[x][x] = a.out[x][x]
+					var wait func(d int)
+					wait = func(d int) {
+						if d >= nn {
+							a.ready[x].Set(1)
+							pick()
+							return
+						}
+						ep.WaitcntrT(t, a.arr[x][(x+d)%nn], 1, func() { wait(d + 1) })
+					}
+					wait(1)
+					return
+				}
+				y := (x + d) % nn
+				dst := a.in[y][x]
+				ep.PutT(t, s.dom.Endpoint(g.lay.local[y][0]), dst, a.out[x][y],
+					nil, a.arr[y][x], nil, func() { put(d + 1) })
+			}
+			put(1)
+		})
+	}
+
 	// Phase 1: stage outgoing blocks, grouped by destination node. Each
 	// destination node's slab is laid out [src local][dst local], so runs
 	// to the same node are coalesced into contiguous ranges per source.
-	for y := 0; y < nn; y++ {
+	var stage func(y int)
+	stage = func(y int) {
+		if y >= nn {
+			exchange()
+			return
+		}
 		dsts := g.lay.local[y]
 		row := a.out[x][y][li*len(dsts)*blk : (li+1)*len(dsts)*blk]
 		if blk > 0 && len(dsts) > 0 {
@@ -169,47 +263,13 @@ func (a *alltoallState) run(p *sim.Proc, rank int, send, recv []byte) {
 				off := a.groupRank(dst) * blk
 				copy(row[lj*blk:(lj+1)*blk], send[off:off+blk])
 			}
-			s.m.ChargeCopy(p, node, len(row))
-			s.m.Stats.AddCopy(len(row))
+			s.m.ChargeCopyT(t, node, len(row), func() {
+				s.m.Stats.AddCopy(len(row))
+				stage(y + 1)
+			})
+			return
 		}
+		stage(y + 1)
 	}
-	a.staged[x].Flag(li).Set(1)
-
-	if rank == g.lay.local[x][0] {
-		// Master: wait for local staging, exchange slabs pairwise.
-		a.staged[x].WaitAll(p, 1)
-		ep := s.dom.Endpoint(rank)
-		for d := 1; d < nn; d++ {
-			y := (x + d) % nn
-			dst := a.in[y][x]
-			ep.Put(p, s.dom.Endpoint(g.lay.local[y][0]), dst, a.out[x][y],
-				nil, a.arr[y][x], nil)
-		}
-		// The node's own slab transfers through shared memory.
-		a.in[x][x] = a.out[x][x]
-		for d := 1; d < nn; d++ {
-			ep.Waitcntr(p, a.arr[x][(x+d)%nn], 1)
-		}
-		a.ready[x].Set(1)
-	}
-	a.ready[x].WaitFor(p, 1)
-
-	// Phase 3: pick this member's column out of every inbound slab.
-	for y := 0; y < nn; y++ {
-		srcs := g.lay.local[y]
-		if blk == 0 || len(srcs) == 0 {
-			continue
-		}
-		for lj, src := range srcs {
-			slab := a.in[x][y]
-			from := slab[(lj*len(g.lay.local[x])+li)*blk : (lj*len(g.lay.local[x])+li+1)*blk]
-			off := a.groupRank(src) * blk
-			copy(recv[off:off+blk], from)
-		}
-		s.m.ChargeCopy(p, node, len(srcs)*blk)
-		s.m.Stats.AddCopy(len(srcs) * blk)
-	}
+	stage(0)
 }
-
-// groupRank returns a member's group rank (its block index).
-func (a *alltoallState) groupRank(rank int) int { return a.pos[rank] }

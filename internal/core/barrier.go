@@ -41,12 +41,23 @@ func (s *SRM) Barrier(p *sim.Proc, rank int) { s.World().Barrier(p, rank) }
 
 // Barrier blocks until every group member has entered the barrier.
 func (g *Group) Barrier(p *sim.Proc, rank int) {
-	st, release := g.acquire(rank, func() any { return newBarrierState(g) })
-	defer release()
-	st.(*barrierState).run(p, rank)
+	p.Await(func(t *sim.Task, k func()) { g.BarrierT(t, rank, k) })
 }
 
-func (b *barrierState) run(p *sim.Proc, rank int) {
+// BarrierT is Barrier in continuation-passing form: kont runs once
+// it completes.
+func (s *SRM) BarrierT(t *sim.Task, rank int, kont func()) {
+	s.World().BarrierT(t, rank, kont)
+}
+
+// BarrierT blocks until every group member has entered the barrier, then
+// runs kont.
+func (g *Group) BarrierT(t *sim.Task, rank int, kont func()) {
+	st, release := g.acquire(rank, func() any { return newBarrierState(g) })
+	st.(*barrierState).run(t, rank, opDone(t, release, kont))
+}
+
+func (b *barrierState) run(t *sim.Task, rank int, kont func()) {
 	g := b.g
 	x := g.lay.ni[rank]
 	l := g.lay.li[rank]
@@ -54,25 +65,38 @@ func (b *barrierState) run(p *sim.Proc, rank int) {
 	if l != 0 {
 		// Check in, then wait for the master to reset the flag.
 		fs.Flag(l).Set(1)
-		fs.Flag(l).WaitFor(p, 0)
+		fs.Flag(l).WaitForT(t, 0, kont)
 		return
 	}
 	// The master first waits until all other member tasks on the node
 	// check in.
-	fs.WaitAll(p, 1, 0)
-	// Then it joins the inter-node phase: dissemination with zero-byte
-	// puts, log2(n) rounds, interrupts off for the duration (§2.3).
-	nn := len(g.lay.nodes)
-	if nn > 1 {
+	fs.WaitAllT(t, 1, func() {
+		nn := len(g.lay.nodes)
+		fin := func() {
+			// Release the node: reset the value of all flags (§2.2).
+			fs.SetAll(0)
+			kont()
+		}
+		if nn <= 1 {
+			fin()
+			return
+		}
+		// Inter-node phase: dissemination with zero-byte puts, log2(n)
+		// rounds, interrupts off for the duration (§2.3).
 		ep := g.s.dom.Endpoint(rank)
 		ep.SetInterrupts(false)
-		for r := 0; r < b.rounds; r++ {
+		var round func(r int)
+		round = func(r int) {
+			if r >= b.rounds {
+				ep.SetInterrupts(true)
+				fin()
+				return
+			}
 			peer := (x + 1<<r) % nn
-			ep.PutZero(p, g.s.dom.Endpoint(g.lay.local[peer][0]), b.cnt[peer][r])
-			ep.Waitcntr(p, b.cnt[x][r], 1)
+			ep.PutZeroT(t, g.s.dom.Endpoint(g.lay.local[peer][0]), b.cnt[peer][r], func() {
+				ep.WaitcntrT(t, b.cnt[x][r], 1, func() { round(r + 1) })
+			})
 		}
-		ep.SetInterrupts(true)
-	}
-	// Release the node: reset the value of all flags (§2.2).
-	fs.SetAll(0)
+		round(0)
+	}, 0)
 }

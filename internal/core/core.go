@@ -32,7 +32,7 @@ import (
 
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
-	"srmcoll/internal/sim"
+	"srmcoll/internal/trace"
 	"srmcoll/internal/tree"
 )
 
@@ -205,14 +205,18 @@ func chunks(total, chunk int) []span {
 	return out
 }
 
-// combineCharge charges the cost of one elementwise combine over n bytes.
-func (s *SRM) combineCharge(p *sim.Proc, n, elemSize int) {
-	p.Sleep(s.m.CombineTime(n))
-	s.m.Stats.AddReduce(n / max(1, elemSize))
+// arrivalCounters returns n zero counters that count data arrivals.
+func (s *SRM) arrivalCounters(n int) []*rma.Counter {
+	cs := make([]*rma.Counter, n)
+	for i := range cs {
+		cs[i] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
+	}
+	return cs
 }
 
 // quietNet turns interrupts off for small-message operations at a master
-// endpoint and returns the function that re-enables them (§2.3).
+// endpoint and returns the function that re-enables them (§2.3), which the
+// caller runs in the operation's final continuation.
 func (s *SRM) quietNet(ep *rma.Endpoint, size int) func() {
 	if s.opt.KeepInterrupts || size > smallMsgInterruptLimit {
 		return func() {}

@@ -36,8 +36,8 @@ type dualRootState struct {
 	pslot      [2][][2][]byte
 	arr        [2][][2]*rma.Counter
 	credit     [2][]*rma.Counter
-	bArr       [2][][2]*rma.Counter
-	chunkDone  [2]*shm.Flag // at each tree's root master: chunks fully reduced
+	bArr       [][]*rma.Counter // [node][chunk]: broadcast arrivals, as in allreduceState
+	chunkDone  [2]*shm.Flag     // at each tree's root master: chunks fully reduced
 	helperDone []*sim.Event
 }
 
@@ -59,11 +59,13 @@ func newDualRootState(g *Group, size int, ds dataspec) *dualRootState {
 	a.resReady = make([]*sim.Event, nn)
 	a.pub = make([]publisher, nn)
 	a.helperDone = make([]*sim.Event, nn)
+	a.bArr = make([][]*rma.Counter, nn)
 	for x, nd := range g.lay.nodes {
 		a.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), chunkBytes)
 		a.resReady[x] = s.m.Env.NewEvent()
 		a.pub[x] = s.newPublisher(nd, 0, len(g.lay.local[x]), chunkBytes)
 		a.helperDone[x] = s.m.Env.NewEvent()
+		a.bArr[x] = s.arrivalCounters(len(a.sp))
 	}
 	roots := [2]int{0, min(1, nn-1)}
 	kind := s.interKind("allreduce", size)
@@ -73,7 +75,6 @@ func newDualRootState(g *Group, size int, ds dataspec) *dualRootState {
 		a.pslot[ti] = make([][2][]byte, nn)
 		a.arr[ti] = make([][2]*rma.Counter, nn)
 		a.credit[ti] = make([]*rma.Counter, nn)
-		a.bArr[ti] = make([][2]*rma.Counter, nn)
 		for x := 0; x < nn; x++ {
 			a.pslot[ti][x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
 			a.arr[ti][x] = [2]*rma.Counter{
@@ -81,10 +82,6 @@ func newDualRootState(g *Group, size int, ds dataspec) *dualRootState {
 				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 			}
 			a.credit[ti][x] = s.dom.NewCounter(2).TraceClass(trace.ClassWaitCredit)
-			a.bArr[ti][x] = [2]*rma.Counter{
-				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
-			}
 		}
 	}
 	return a
@@ -96,15 +93,14 @@ func (a *dualRootState) check(size int, ds dataspec, rank int) {
 	}
 }
 
-func (a *dualRootState) run(p *sim.Proc, rank int, send, recv []byte) {
+func (a *dualRootState) run(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	g := a.g
 	x := g.lay.ni[rank]
 	l := g.lay.li[rank]
 	if l != 0 {
-		a.rn[x].worker(p, l, send, a.sp, a.ds)
-		for k, c := range a.sp {
-			a.pub[x].Consume(p, l, k, recv[c.off:c.off+c.n])
-		}
+		a.rn[x].worker(t, l, send, a.sp, a.ds, func() {
+			consumeAll(t, a.pub[x], l, a.sp, recv, kont)
+		})
 		return
 	}
 	a.resBuf[x] = recv
@@ -114,18 +110,18 @@ func (a *dualRootState) run(p *sim.Proc, rank int, send, recv []byte) {
 	// RMA calls on the shared endpoint, so deferred delivery would strand
 	// its arrival notifications while the reduce side blocks in non-RMA
 	// waits — the same reason masterLarge never runs quiet.
-	a.master(p, g.s.dom.Endpoint(rank), x, send, recv)
+	a.master(t, g.s.dom.Endpoint(rank), x, send, recv, kont)
 }
 
 // master runs the reduce stages of both trees on the main process and the
 // broadcast stages on a helper, walking chunks in global order; chunk k
 // belongs to tree k%2 and is the (k/2)-th chunk of that tree.
-func (a *dualRootState) master(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
+func (a *dualRootState) master(t *sim.Task, ep *rma.Endpoint, x int, send, recv []byte, kont func()) {
 	g := a.g
 	s := g.s
 
 	// Broadcast-side helper.
-	s.m.Env.SpawnIndexed("srm-arb-", x, func(hp *sim.Proc) {
+	s.m.Env.SpawnTask("srm-arb-", x, func(hp *sim.Task) {
 		if tr := s.m.Env.Trace; tr != nil {
 			// The helper gets its own timeline above the rank tracks so its
 			// broadcast-stage spans do not interleave with the reduce side.
@@ -133,65 +129,115 @@ func (a *dualRootState) master(p *sim.Proc, ep *rma.Endpoint, x int, send, recv 
 			hp.SetTrack(ht)
 			tr.NameTrack(ht, "rank"+strconv.Itoa(ep.Rank)+"-bcast")
 		}
-		defer a.helperDone[x].Trigger()
-		for k, c := range a.sp {
-			ti, par := k%2, (k/2)%2
+		var hchunk func(k int)
+		hchunk = func(k int) {
+			if k >= len(a.sp) {
+				a.pub[x].waitConsumed(hp, len(a.sp)-1, func() { a.helperDone[x].Trigger() })
+				return
+			}
+			c := a.sp[k]
+			ti := k % 2
+			interKids := a.emb[ti].inter.Children[x]
+			bcast := func() {
+				src := recv[c.off : c.off+c.n]
+				var child func(i int)
+				child = func(i int) {
+					if i >= len(interKids) {
+						a.pub[x].Publish(hp, k, src, false, func() { hchunk(k + 1) })
+						return
+					}
+					ch := interKids[i]
+					a.resReady[ch].WaitT(hp, func() {
+						dst := a.resBuf[ch][c.off : c.off+c.n]
+						ep.PutT(hp, g.masterEp(ch), dst, src, nil, a.bArr[ch][k], nil, func() {
+							child(i + 1)
+						})
+					})
+				}
+				child(0)
+			}
 			if x == a.emb[ti].inter.Root {
-				a.chunkDone[ti].WaitGE(hp, k/2+1)
-			} else {
-				a.bArr[ti][x][par].WaitValue(hp, 1)
+				a.chunkDone[ti].WaitGET(hp, k/2+1, bcast)
+				return
 			}
-			src := recv[c.off : c.off+c.n]
-			for _, child := range a.emb[ti].inter.Children[x] {
-				hp.Wait(a.resReady[child])
-				dst := a.resBuf[child][c.off : c.off+c.n]
-				ep.Put(hp, g.masterEp(child), dst, src, nil, a.bArr[ti][child][par], nil)
-			}
-			a.pub[x].Publish(hp, k, src, false)
+			a.bArr[x][k].WaitValueT(hp, 1, bcast)
 		}
-		a.pub[x].waitConsumed(hp, len(a.sp)-1)
+		hchunk(0)
 	})
 
 	// Reduce side.
-	for k, c := range a.sp {
+	var chunk func(k int)
+	chunk = func(k int) {
+		if k >= len(a.sp) {
+			a.helperDone[x].WaitT(t, kont)
+			return
+		}
+		c := a.sp[k]
 		ti, par := k%2, (k/2)%2
 		interKids := a.emb[ti].inter.Children[x]
 		atRoot := x == a.emb[ti].inter.Root
 		tchunk := recv[c.off : c.off+c.n]
 		own := send[c.off : c.off+c.n]
-		have := a.rn[x].masterChunk(p, k, tchunk, own, a.ds)
-		for _, child := range interKids {
-			ep.Waitcntr(p, a.arr[ti][child][par], 1)
-			slot := a.pslot[ti][child][par][:c.n]
-			if c.n > 0 {
-				if have {
-					a.ds.acc(tchunk, slot)
-				} else {
-					a.ds.into(tchunk, own, slot)
+
+		finish := func(have bool) {
+			if !atRoot {
+				src := tchunk
+				if !have {
+					src = own
 				}
-				s.combineCharge(p, c.n, a.ds.dt.Size())
+				ep.WaitcntrT(t, a.credit[ti][x], 1, func() {
+					parent := g.masterEp(a.emb[ti].inter.Parent[x])
+					ep.PutT(t, parent, a.pslot[ti][x][par][:c.n], src, nil, a.arr[ti][x][par], nil, func() {
+						chunk(k + 1)
+					})
+				})
+				return
 			}
-			have = true
-			// The child's next send in this tree is chunk k+2; returning
-			// this credit enables the one after that.
-			if k+4 < len(a.sp) {
-				ep.PutZero(p, g.masterEp(child), a.credit[ti][child])
+			done := func() {
+				a.chunkDone[ti].Set(k/2 + 1)
+				chunk(k + 1)
 			}
-		}
-		if !atRoot {
-			src := tchunk
-			if !have {
-				src = own
-			}
-			ep.Waitcntr(p, a.credit[ti][x], 1)
-			parent := g.masterEp(a.emb[ti].inter.Parent[x])
-			ep.Put(p, parent, a.pslot[ti][x][par][:c.n], src, nil, a.arr[ti][x][par], nil)
-		} else {
 			if !have && c.n > 0 {
-				s.m.Memcpy(p, g.lay.nodes[x], tchunk, own)
+				s.m.MemcpyT(t, g.lay.nodes[x], tchunk, own, done)
+				return
 			}
-			a.chunkDone[ti].Set(k/2 + 1)
+			done()
 		}
+
+		var child func(i int, have bool)
+		child = func(i int, have bool) {
+			if i >= len(interKids) {
+				finish(have)
+				return
+			}
+			ch := interKids[i]
+			ep.WaitcntrT(t, a.arr[ti][ch][par], 1, func() {
+				slot := a.pslot[ti][ch][par][:c.n]
+				next := func() {
+					// The child's next send in this tree is chunk k+2;
+					// returning this credit enables the one after that.
+					if k+4 < len(a.sp) {
+						ep.PutZeroT(t, g.masterEp(ch), a.credit[ti][ch], func() { child(i+1, true) })
+						return
+					}
+					child(i+1, true)
+				}
+				if c.n > 0 {
+					if have {
+						a.ds.acc(tchunk, slot)
+					} else {
+						a.ds.into(tchunk, own, slot)
+					}
+					s.combineCharge(t, c.n, a.ds.dt.Size(), next)
+					return
+				}
+				next()
+			})
+		}
+
+		a.rn[x].masterChunk(t, k, tchunk, own, a.ds, func(have bool) {
+			child(0, have)
+		})
 	}
-	p.Wait(a.helperDone[x])
+	chunk(0)
 }

@@ -158,248 +158,21 @@ func (st *redistState) slabRange(rn run) (stagedOff, groupOff, n int) {
 // everywhere) into recv at root, ordered by group rank. recv must hold
 // Size()*blk bytes at root and is ignored elsewhere.
 func (g *Group) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "gather", root, len(send)) })
-	defer release()
-	r := st.(*redistState)
-	if r.kind != "gather" || r.root != root || r.blk != len(send) {
-		panic(fmt.Sprintf("core: Gather mismatch at rank %d", rank))
-	}
-	if rank == root {
-		check.Size("core.Gather", rank, "recv", len(recv), r.blk*g.Size())
-		r.rootBuf = recv
-		r.rootSet.Trigger()
-	}
-	r.runGather(p, rank, send)
-}
-
-func (st *redistState) runGather(p *sim.Proc, rank int, send []byte) {
-	g := st.g
-	s := g.s
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	node := g.lay.nodes[x]
-	// Every member stages its block in node shared memory.
-	if st.blk > 0 {
-		s.m.Memcpy(p, node, st.staged[x][l*st.blk:(l+1)*st.blk], send)
-	}
-	st.inFlag[x].Flag(l).Set(1)
-	if rank != st.masters[x] {
-		return
-	}
-	// The master forwards each contiguous slab straight to its final
-	// offset in the root's receive buffer — one put per run.
-	st.inFlag[x].WaitAll(p, 1)
-	ep := s.dom.Endpoint(rank)
-	rootNI := g.lay.ni[st.root]
-	rootEp := s.dom.Endpoint(st.masters[rootNI])
-	remoteRuns := 0
-	for _, rn := range st.runs {
-		if rn.node != rootNI {
-			remoteRuns++
-		}
-	}
-	if x == rootNI {
-		p.Wait(st.rootSet)
-		for _, rn := range st.runs {
-			so, po, n := st.slabRange(rn)
-			if rn.node != x || n == 0 {
-				continue
-			}
-			s.m.Memcpy(p, node, st.rootBuf[po:po+n], st.staged[x][so:so+n])
-		}
-		// Wait for every remote slab to land.
-		ep.Waitcntr(p, st.arr[x], remoteRuns)
-		return
-	}
-	p.Wait(st.rootSet)
-	for _, rn := range st.runs {
-		if rn.node != x {
-			continue
-		}
-		so, po, n := st.slabRange(rn)
-		ep.Put(p, rootEp, st.rootBuf[po:po+n], st.staged[x][so:so+n], nil, st.arr[rootNI], nil)
-	}
+	p.Await(func(t *sim.Task, k func()) { g.GatherT(t, rank, send, recv, root, k) })
 }
 
 // Scatter distributes root's send buffer (Size()*blk bytes, ordered by
 // group rank) so each member receives its blk-byte block in recv. send is
 // ignored away from root.
 func (g *Group) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "scatter", root, len(recv)) })
-	defer release()
-	r := st.(*redistState)
-	if r.kind != "scatter" || r.root != root || r.blk != len(recv) {
-		panic(fmt.Sprintf("core: Scatter mismatch at rank %d", rank))
-	}
-	if rank == root {
-		check.Size("core.Scatter", rank, "send", len(send), r.blk*g.Size())
-	}
-	r.runScatter(p, rank, send, recv)
-}
-
-func (st *redistState) runScatter(p *sim.Proc, rank int, send, recv []byte) {
-	g := st.g
-	s := g.s
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	node := g.lay.nodes[x]
-	rootNI := g.lay.ni[st.root]
-	if rank == st.masters[x] {
-		ep := s.dom.Endpoint(rank)
-		if x == rootNI {
-			// The root master slabs the send buffer out: remote runs by
-			// put into the target node's staging, local runs by memcpy.
-			for _, rn := range st.runs {
-				so, po, n := st.slabRange(rn)
-				if n == 0 {
-					continue
-				}
-				if rn.node == x {
-					s.m.Memcpy(p, node, st.staged[x][so:so+n], send[po:po+n])
-				} else {
-					dst := st.staged[rn.node][so : so+n]
-					ep.Put(p, s.dom.Endpoint(st.masters[rn.node]), dst, send[po:po+n],
-						nil, st.arr[rn.node], nil)
-				}
-			}
-			st.ready[x].Set(1)
-		} else {
-			runs := 0
-			for _, rn := range st.runs {
-				if rn.node == x {
-					runs++
-				}
-			}
-			ep.Waitcntr(p, st.arr[x], runs)
-			st.ready[x].Set(1)
-		}
-	}
-	// Every member copies its block out of the node staging.
-	st.ready[x].WaitFor(p, 1)
-	if st.blk > 0 {
-		s.m.Memcpy(p, node, recv, st.staged[x][l*st.blk:(l+1)*st.blk])
-	}
+	p.Await(func(t *sim.Task, k func()) { g.ScatterT(t, rank, send, recv, root, k) })
 }
 
 // Allgather concatenates every member's send block into every member's
 // recv (Size()*blk bytes), ordered by group rank: an intra-node staging
 // phase, a slab ring between the node masters, and a node-local fan-out.
 func (g *Group) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "allgather", g.lay.members[0], len(send)) })
-	defer release()
-	r := st.(*redistState)
-	if r.kind != "allgather" || r.blk != len(send) {
-		panic(fmt.Sprintf("core: Allgather mismatch at rank %d", rank))
-	}
-	check.Size("core.Allgather", rank, "recv", len(recv), r.blk*g.Size())
-	if r.direct {
-		r.runAllgatherDirect(p, rank, send, recv)
-	} else {
-		r.runAllgather(p, rank, send, recv)
-	}
-}
-
-// runAllgatherDirect is the large-block path: a ring over group members
-// with each block put straight into the right neighbor's receive buffer
-// (a shared-memory copy when the neighbor is local). Bandwidth matches
-// the classic ring; the staging copies disappear.
-func (st *redistState) runAllgatherDirect(p *sim.Proc, rank int, send, recv []byte) {
-	g := st.g
-	s := g.s
-	gi := st.groupOffset(rank) / max(st.blk, 1)
-	P := len(g.lay.members)
-	blk := st.blk
-	node := g.lay.nodes[g.lay.ni[rank]]
-	st.recvBuf[gi] = recv
-	st.registered[gi].Trigger()
-	s.m.Memcpy(p, node, recv[gi*blk:(gi+1)*blk], send)
-	if P == 1 {
-		return
-	}
-	gr := (gi + 1) % P
-	right := g.lay.members[gr]
-	sameNode := g.s.m.NodeOf(right) == node
-	ep := s.dom.Endpoint(rank)
-	p.Wait(st.registered[gr])
-	for step := 1; step < P; step++ {
-		out := (gi - step + 1 + P) % P
-		src := recv[out*blk : (out+1)*blk]
-		dst := st.recvBuf[gr][out*blk : (out+1)*blk]
-		if sameNode {
-			s.m.Memcpy(p, node, dst, src)
-			st.stepCnt[gr][step].Incr(1)
-		} else {
-			ep.Put(p, s.dom.Endpoint(right), dst, src, nil, st.stepCnt[gr][step], nil)
-		}
-		in := (gi - step + P) % P
-		ep.Waitcntr(p, st.stepCnt[gi][step], 1)
-		_ = in // the step counter identifies the inbound block
-	}
-}
-
-func (st *redistState) runAllgather(p *sim.Proc, rank int, send, recv []byte) {
-	g := st.g
-	s := g.s
-	x := g.lay.ni[rank]
-	l := g.lay.li[rank]
-	node := g.lay.nodes[x]
-	nn := len(g.lay.nodes)
-	// Members stage their block at its group offset in the node's copy of
-	// the full vector.
-	off := st.groupOffset(rank)
-	if st.blk > 0 {
-		s.m.Memcpy(p, node, st.staged[x][off:off+st.blk], send)
-	}
-	st.inFlag[x].Flag(l).Set(1)
-	if rank == st.masters[x] {
-		st.inFlag[x].WaitAll(p, 1)
-		st.ready[x].Set(1) // step 0: the node's own slabs are staged
-		ep := s.dom.Endpoint(rank)
-		right := (x + 1) % nn
-		rightEp := s.dom.Endpoint(st.masters[right])
-		// Ring over node slabs: at step s, forward the slab that
-		// originated at node (x-s+1 mod nn); after nn-1 steps the node
-		// holds every slab at its final offset. The ready counter ticks
-		// per step so members fan slabs out while the ring still runs.
-		for step := 1; step < nn; step++ {
-			origin := (x - step + 1 + nn) % nn
-			for _, rn := range st.runs {
-				if rn.node != origin {
-					continue
-				}
-				_, po, n := st.slabRange(rn)
-				ep.Put(p, rightEp, st.staged[right][po:po+n], st.staged[x][po:po+n],
-					nil, st.stepArr[right][step], nil)
-			}
-			// Wait for this step's slabs from the left neighbor; the
-			// per-step counter ties the wait to this step's data.
-			inbound := (x - step + nn) % nn
-			cnt := 0
-			for _, rn := range st.runs {
-				if rn.node == inbound {
-					cnt++
-				}
-			}
-			ep.Waitcntr(p, st.stepArr[x][step], cnt)
-			st.ready[x].Set(step + 1)
-		}
-	}
-	// Fan out, pipelined with the ring: at step s the slabs that
-	// originated at node (x-s mod nn) become copyable.
-	for step := 0; step < nn; step++ {
-		step := step
-		st.ready[x].WaitGE(p, step+1)
-		origin := (x - step + nn) % nn
-		for _, rn := range st.runs {
-			if rn.node != origin {
-				continue
-			}
-			_, po, n := st.slabRange(rn)
-			if n > 0 {
-				s.m.Memcpy(p, node, recv[po:po+n], st.staged[x][po:po+n])
-			}
-		}
-	}
+	p.Await(func(t *sim.Task, k func()) { g.AllgatherT(t, rank, send, recv, k) })
 }
 
 // Gather is Group.Gather over all ranks.
@@ -415,4 +188,367 @@ func (s *SRM) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
 // Allgather is Group.Allgather over all ranks.
 func (s *SRM) Allgather(p *sim.Proc, rank int, send, recv []byte) {
 	s.World().Allgather(p, rank, send, recv)
+}
+
+// GatherT is Gather in continuation-passing form: kont runs once it completes.
+func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
+	st, release := g.acquire(rank, func() any { return newRedistState(g, "gather", root, len(send)) })
+	r := st.(*redistState)
+	if r.kind != "gather" || r.root != root || r.blk != len(send) {
+		panic(fmt.Sprintf("core: Gather mismatch at rank %d", rank))
+	}
+	if rank == root {
+		check.Size("core.Gather", rank, "recv", len(recv), r.blk*g.Size())
+		r.rootBuf = recv
+		r.rootSet.Trigger()
+	}
+	r.runGather(t, rank, send, opDone(t, release, kont))
+}
+
+func (st *redistState) runGather(t *sim.Task, rank int, send []byte, kont func()) {
+	g := st.g
+	s := g.s
+	x := g.lay.ni[rank]
+	l := g.lay.li[rank]
+	node := g.lay.nodes[x]
+
+	forward := func() {
+		st.inFlag[x].Flag(l).Set(1)
+		if rank != st.masters[x] {
+			kont()
+			return
+		}
+		// The master forwards each contiguous slab straight to its final
+		// offset in the root's receive buffer — one put per run.
+		st.inFlag[x].WaitAllT(t, 1, func() {
+			ep := s.dom.Endpoint(rank)
+			rootNI := g.lay.ni[st.root]
+			rootEp := s.dom.Endpoint(st.masters[rootNI])
+			remoteRuns := 0
+			for _, rn := range st.runs {
+				if rn.node != rootNI {
+					remoteRuns++
+				}
+			}
+			if x == rootNI {
+				st.rootSet.WaitT(t, func() {
+					var slab func(i int)
+					slab = func(i int) {
+						if i >= len(st.runs) {
+							// Wait for every remote slab to land.
+							ep.WaitcntrT(t, st.arr[x], remoteRuns, kont)
+							return
+						}
+						rn := st.runs[i]
+						so, po, n := st.slabRange(rn)
+						if rn.node != x || n == 0 {
+							slab(i + 1)
+							return
+						}
+						s.m.MemcpyT(t, node, st.rootBuf[po:po+n], st.staged[x][so:so+n], func() {
+							slab(i + 1)
+						})
+					}
+					slab(0)
+				})
+				return
+			}
+			st.rootSet.WaitT(t, func() {
+				var slab func(i int)
+				slab = func(i int) {
+					if i >= len(st.runs) {
+						kont()
+						return
+					}
+					rn := st.runs[i]
+					if rn.node != x {
+						slab(i + 1)
+						return
+					}
+					so, po, n := st.slabRange(rn)
+					ep.PutT(t, rootEp, st.rootBuf[po:po+n], st.staged[x][so:so+n], nil, st.arr[rootNI], nil, func() {
+						slab(i + 1)
+					})
+				}
+				slab(0)
+			})
+		})
+	}
+
+	// Every member stages its block in node shared memory.
+	if st.blk > 0 {
+		s.m.MemcpyT(t, node, st.staged[x][l*st.blk:(l+1)*st.blk], send, forward)
+		return
+	}
+	forward()
+}
+
+// ScatterT is Scatter in continuation-passing form: kont runs once
+// it completes.
+func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
+	st, release := g.acquire(rank, func() any { return newRedistState(g, "scatter", root, len(recv)) })
+	r := st.(*redistState)
+	if r.kind != "scatter" || r.root != root || r.blk != len(recv) {
+		panic(fmt.Sprintf("core: Scatter mismatch at rank %d", rank))
+	}
+	if rank == root {
+		check.Size("core.Scatter", rank, "send", len(send), r.blk*g.Size())
+	}
+	r.runScatter(t, rank, send, recv, opDone(t, release, kont))
+}
+
+func (st *redistState) runScatter(t *sim.Task, rank int, send, recv []byte, kont func()) {
+	g := st.g
+	s := g.s
+	x := g.lay.ni[rank]
+	l := g.lay.li[rank]
+	node := g.lay.nodes[x]
+	rootNI := g.lay.ni[st.root]
+
+	// Every member copies its block out of the node staging.
+	copyOut := func() {
+		st.ready[x].WaitForT(t, 1, func() {
+			if st.blk > 0 {
+				s.m.MemcpyT(t, node, recv, st.staged[x][l*st.blk:(l+1)*st.blk], kont)
+				return
+			}
+			kont()
+		})
+	}
+
+	if rank != st.masters[x] {
+		copyOut()
+		return
+	}
+	ep := s.dom.Endpoint(rank)
+	if x == rootNI {
+		// The root master slabs the send buffer out: remote runs by put
+		// into the target node's staging, local runs by memcpy.
+		var slab func(i int)
+		slab = func(i int) {
+			if i >= len(st.runs) {
+				st.ready[x].Set(1)
+				copyOut()
+				return
+			}
+			rn := st.runs[i]
+			so, po, n := st.slabRange(rn)
+			if n == 0 {
+				slab(i + 1)
+				return
+			}
+			if rn.node == x {
+				s.m.MemcpyT(t, node, st.staged[x][so:so+n], send[po:po+n], func() { slab(i + 1) })
+				return
+			}
+			dst := st.staged[rn.node][so : so+n]
+			ep.PutT(t, s.dom.Endpoint(st.masters[rn.node]), dst, send[po:po+n],
+				nil, st.arr[rn.node], nil, func() { slab(i + 1) })
+		}
+		slab(0)
+		return
+	}
+	runs := 0
+	for _, rn := range st.runs {
+		if rn.node == x {
+			runs++
+		}
+	}
+	ep.WaitcntrT(t, st.arr[x], runs, func() {
+		st.ready[x].Set(1)
+		copyOut()
+	})
+}
+
+// AllgatherT is Allgather in continuation-passing form: kont runs once
+// it completes.
+func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()) {
+	st, release := g.acquire(rank, func() any { return newRedistState(g, "allgather", g.lay.members[0], len(send)) })
+	r := st.(*redistState)
+	if r.kind != "allgather" || r.blk != len(send) {
+		panic(fmt.Sprintf("core: Allgather mismatch at rank %d", rank))
+	}
+	check.Size("core.Allgather", rank, "recv", len(recv), r.blk*g.Size())
+	fin := opDone(t, release, kont)
+	if r.direct {
+		r.runAllgatherDirect(t, rank, send, recv, fin)
+	} else {
+		r.runAllgather(t, rank, send, recv, fin)
+	}
+}
+
+// runAllgatherDirect is the large-block path: a ring over group members
+// with each block put straight into the right neighbor's receive buffer
+// (a shared-memory copy when the neighbor is local). Bandwidth matches
+// the classic ring; the staging copies disappear.
+func (st *redistState) runAllgatherDirect(t *sim.Task, rank int, send, recv []byte, kont func()) {
+	g := st.g
+	s := g.s
+	gi := st.groupOffset(rank) / max(st.blk, 1)
+	P := len(g.lay.members)
+	blk := st.blk
+	node := g.lay.nodes[g.lay.ni[rank]]
+	st.recvBuf[gi] = recv
+	st.registered[gi].Trigger()
+	s.m.MemcpyT(t, node, recv[gi*blk:(gi+1)*blk], send, func() {
+		if P == 1 {
+			kont()
+			return
+		}
+		gr := (gi + 1) % P
+		right := g.lay.members[gr]
+		sameNode := g.s.m.NodeOf(right) == node
+		ep := s.dom.Endpoint(rank)
+		st.registered[gr].WaitT(t, func() {
+			var step func(n int)
+			step = func(n int) {
+				if n >= P {
+					kont()
+					return
+				}
+				out := (gi - n + 1 + P) % P
+				src := recv[out*blk : (out+1)*blk]
+				dst := st.recvBuf[gr][out*blk : (out+1)*blk]
+				wait := func() {
+					ep.WaitcntrT(t, st.stepCnt[gi][n], 1, func() { step(n + 1) })
+				}
+				if sameNode {
+					s.m.MemcpyT(t, node, dst, src, func() {
+						st.stepCnt[gr][n].Incr(1)
+						wait()
+					})
+					return
+				}
+				ep.PutT(t, s.dom.Endpoint(right), dst, src, nil, st.stepCnt[gr][n], nil, wait)
+			}
+			step(1)
+		})
+	})
+}
+
+func (st *redistState) runAllgather(t *sim.Task, rank int, send, recv []byte, kont func()) {
+	g := st.g
+	s := g.s
+	x := g.lay.ni[rank]
+	l := g.lay.li[rank]
+	node := g.lay.nodes[x]
+	nn := len(g.lay.nodes)
+
+	// Fan out, pipelined with the ring: at step s the slabs that
+	// originated at node (x-s mod nn) become copyable.
+	fanout := func() {
+		var step func(n int)
+		step = func(n int) {
+			if n >= nn {
+				kont()
+				return
+			}
+			st.ready[x].WaitGET(t, n+1, func() {
+				origin := (x - n + nn) % nn
+				var slab func(i int)
+				slab = func(i int) {
+					if i >= len(st.runs) {
+						step(n + 1)
+						return
+					}
+					rn := st.runs[i]
+					if rn.node != origin {
+						slab(i + 1)
+						return
+					}
+					_, po, n2 := st.slabRange(rn)
+					if n2 > 0 {
+						s.m.MemcpyT(t, node, recv[po:po+n2], st.staged[x][po:po+n2], func() { slab(i + 1) })
+						return
+					}
+					slab(i + 1)
+				}
+				slab(0)
+			})
+		}
+		step(0)
+	}
+
+	// Ring over node slabs: at step n, forward the slabs that originated
+	// at node (x-n+1 mod nn); after nn-1 steps the node holds every slab at
+	// its final offset. The ready counter ticks per step so members fan
+	// slabs out while the ring still runs.
+	ring := func() {
+		st.inFlag[x].WaitAllT(t, 1, func() {
+			st.ready[x].Set(1) // step 0: the node's own slabs are staged
+			ep := s.dom.Endpoint(rank)
+			right := (x + 1) % nn
+			rightEp := s.dom.Endpoint(st.masters[right])
+			var step func(n int)
+			step = func(n int) {
+				if n >= nn {
+					fanout()
+					return
+				}
+				origin := (x - n + 1 + nn) % nn
+				var slab func(i int)
+				slab = func(i int) {
+					if i >= len(st.runs) {
+						// Wait for this step's slabs from the left neighbor;
+						// the per-step counter ties the wait to this step's
+						// data.
+						inbound := (x - n + nn) % nn
+						cnt := 0
+						for _, rn := range st.runs {
+							if rn.node == inbound {
+								cnt++
+							}
+						}
+						ep.WaitcntrT(t, st.stepArr[x][n], cnt, func() {
+							st.ready[x].Set(n + 1)
+							step(n + 1)
+						})
+						return
+					}
+					rn := st.runs[i]
+					if rn.node != origin {
+						slab(i + 1)
+						return
+					}
+					_, po, n2 := st.slabRange(rn)
+					ep.PutT(t, rightEp, st.staged[right][po:po+n2], st.staged[x][po:po+n2],
+						nil, st.stepArr[right][n], nil, func() { slab(i + 1) })
+				}
+				slab(0)
+			}
+			step(1)
+		})
+	}
+
+	// Members stage their block at its group offset in the node's copy of
+	// the full vector.
+	off := st.groupOffset(rank)
+	staged := func() {
+		st.inFlag[x].Flag(l).Set(1)
+		if rank == st.masters[x] {
+			ring()
+			return
+		}
+		fanout()
+	}
+	if st.blk > 0 {
+		s.m.MemcpyT(t, node, st.staged[x][off:off+st.blk], send, staged)
+		return
+	}
+	staged()
+}
+
+// GatherT is Group.GatherT over all ranks.
+func (s *SRM) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
+	s.World().GatherT(t, rank, send, recv, root, kont)
+}
+
+// ScatterT is Group.ScatterT over all ranks.
+func (s *SRM) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
+	s.World().ScatterT(t, rank, send, recv, root, kont)
+}
+
+// AllgatherT is Group.AllgatherT over all ranks.
+func (s *SRM) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()) {
+	s.World().AllgatherT(t, rank, send, recv, kont)
 }

@@ -15,8 +15,10 @@ type dataspec struct {
 	op dtype.Op
 }
 
-func (ds dataspec) acc(dst, src []byte)   { dtype.Reduce(ds.op, ds.dt, dst, src) }
+func (ds dataspec) acc(dst, src []byte) { dtype.Reduce(ds.op, ds.dt, dst, src) }
+
 func (ds dataspec) into(dst, a, b []byte) { dtype.ReduceInto(ds.op, ds.dt, dst, a, b) }
+
 func (ds dataspec) validate(n int) error {
 	if !dtype.Valid(ds.op, ds.dt) {
 		return fmt.Errorf("core: operator %s invalid for %s", ds.op, ds.dt)
@@ -96,12 +98,22 @@ func (s *SRM) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op
 
 // Reduce combines the group members' send buffers into recv at root.
 func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int) {
+	p.Await(func(t *sim.Task, k func()) { g.ReduceT(t, rank, send, recv, dt, op, root, k) })
+}
+
+// ReduceT is Reduce in continuation-passing form: kont runs once it completes.
+func (s *SRM) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
+	s.World().ReduceT(t, rank, send, recv, dt, op, root, kont)
+}
+
+// ReduceT combines the group members' send buffers into recv at root, then
+// runs kont.
+func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, root int, kont func()) {
 	ds := dataspec{dt: dt, op: op}
 	if err := ds.validate(len(send)); err != nil {
 		panic(err)
 	}
 	st, release := g.acquire(rank, func() any { return newReduceState(g, root, len(send), ds) })
-	defer release()
 	r := st.(*reduceState)
 	if r.root != root || r.size != len(send) || r.ds != ds {
 		panic(fmt.Sprintf("core: Reduce mismatch at rank %d", rank))
@@ -112,27 +124,29 @@ func (g *Group) Reduce(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, 
 		}
 		r.partial[g.lay.ni[rank]] = recv
 	}
-	r.run(p, rank, send)
+	r.run(t, rank, send, opDone(t, release, kont))
 }
 
-func (r *reduceState) run(p *sim.Proc, rank int, send []byte) {
+func (r *reduceState) run(t *sim.Task, rank int, send []byte, kont func()) {
 	g := r.g
 	x := g.lay.ni[rank]
 	l := g.lay.li[rank]
 	if rank != r.emb.masters[x] {
-		r.rn[x].worker(p, l, send, r.sp, r.ds)
+		r.rn[x].worker(t, l, send, r.sp, r.ds, kont)
 		return
 	}
 	ep := g.s.dom.Endpoint(rank)
 	enable := g.s.quietNet(ep, r.size)
-	defer enable()
-	r.master(p, ep, x, send)
+	r.master(t, ep, x, send, func() {
+		enable()
+		kont()
+	})
 }
 
 // master runs the node master: combine local children, combine arriving
 // child-node partials, and either forward the chunk to the parent master or
 // finish it into the root's receive buffer — all pipelined over chunks.
-func (r *reduceState) master(p *sim.Proc, ep *rma.Endpoint, x int, send []byte) {
+func (r *reduceState) master(t *sim.Task, ep *rma.Endpoint, x int, send []byte, kont func()) {
 	g := r.g
 	s := g.s
 	node := g.lay.nodes[x]
@@ -141,41 +155,76 @@ func (r *reduceState) master(p *sim.Proc, ep *rma.Endpoint, x int, send []byte) 
 		r.partial[x] = make([]byte, r.size)
 	}
 	interKids := r.emb.inter.Children[x]
-	for k, c := range r.sp {
+
+	var chunk func(k int)
+	chunk = func(k int) {
+		if k >= len(r.sp) {
+			kont()
+			return
+		}
+		c := r.sp[k]
 		tchunk := r.partial[x][c.off : c.off+c.n]
 		own := send[c.off : c.off+c.n]
-		have := r.rn[x].masterChunk(p, k, tchunk, own, r.ds)
-		for _, child := range interKids {
-			ep.Waitcntr(p, r.arr[child][k%2], 1)
-			slot := r.pslot[child][k%2][:c.n]
-			if c.n > 0 {
-				if have {
-					r.ds.acc(tchunk, slot)
-				} else {
-					r.ds.into(tchunk, own, slot)
+
+		// After the local and child-node combines, forward or finish.
+		finish := func(have bool) {
+			switch {
+			case !atRoot:
+				// Forward the chunk partial to the parent's slot for this node.
+				src := tchunk
+				if !have {
+					src = own // single-task leaf node: send straight from the user buffer
 				}
-				s.combineCharge(p, c.n, r.ds.dt.Size())
-			}
-			have = true
-			// Replenish the child's slot credit — only needed while a
-			// chunk k+2 remains to reuse this slot parity.
-			if k+2 < len(r.sp) {
-				ep.PutZero(p, s.dom.Endpoint(r.emb.masters[child]), r.credit[child])
+				ep.WaitcntrT(t, r.credit[x], 1, func() {
+					parent := s.dom.Endpoint(r.emb.masters[r.emb.inter.Parent[x]])
+					ep.PutT(t, parent, r.pslot[x][k%2][:c.n], src, nil, r.arr[x][k%2], nil, func() {
+						chunk(k + 1)
+					})
+				})
+			case !have && c.n > 0:
+				// Reduce over a single task: the result is a plain copy.
+				s.m.MemcpyT(t, node, tchunk, own, func() { chunk(k + 1) })
+			default:
+				chunk(k + 1)
 			}
 		}
-		switch {
-		case !atRoot:
-			// Forward the chunk partial to the parent's slot for this node.
-			src := tchunk
-			if !have {
-				src = own // single-task leaf node: send straight from the user buffer
+
+		var child func(i int, have bool)
+		child = func(i int, have bool) {
+			if i >= len(interKids) {
+				finish(have)
+				return
 			}
-			ep.Waitcntr(p, r.credit[x], 1)
-			parent := s.dom.Endpoint(r.emb.masters[r.emb.inter.Parent[x]])
-			ep.Put(p, parent, r.pslot[x][k%2][:c.n], src, nil, r.arr[x][k%2], nil)
-		case !have && c.n > 0:
-			// Reduce over a single task: the result is a plain copy.
-			s.m.Memcpy(p, node, tchunk, own)
+			ch := interKids[i]
+			ep.WaitcntrT(t, r.arr[ch][k%2], 1, func() {
+				slot := r.pslot[ch][k%2][:c.n]
+				next := func() {
+					// Replenish the child's slot credit — only needed while a
+					// chunk k+2 remains to reuse this slot parity.
+					if k+2 < len(r.sp) {
+						ep.PutZeroT(t, s.dom.Endpoint(r.emb.masters[ch]), r.credit[ch], func() {
+							child(i+1, true)
+						})
+						return
+					}
+					child(i+1, true)
+				}
+				if c.n > 0 {
+					if have {
+						r.ds.acc(tchunk, slot)
+					} else {
+						r.ds.into(tchunk, own, slot)
+					}
+					s.combineCharge(t, c.n, r.ds.dt.Size(), next)
+					return
+				}
+				next()
+			})
 		}
+
+		r.rn[x].masterChunk(t, k, tchunk, own, r.ds, func(have bool) {
+			child(0, have)
+		})
 	}
+	chunk(0)
 }

@@ -79,13 +79,27 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 	return st
 }
 
+// ReduceScatter combines the members' send vectors (Size()*blk bytes,
+// group order) elementwise and scatters the result: the member with group
+// rank i receives reduced block i in recv (MPI_Reduce_scatter_block
+// semantics).
+func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
+	p.Await(func(t *sim.Task, k func()) { g.ReduceScatterT(t, rank, send, recv, dt, op, k) })
+}
+
+// ReduceScatter is Group.ReduceScatter over all ranks.
+func (s *SRM) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
+	s.World().ReduceScatter(p, rank, send, recv, dt, op)
+}
+
 // slabFor extracts node y's members' blocks from a full-length vector, in
 // y's local-member order. Contiguous ranges (the whole-world case) are
 // returned as a slice; otherwise a compacted copy is built and charged.
-func (st *reduceScatterState) slabFor(p *sim.Proc, node int, vec []byte, y int) []byte {
+func (st *reduceScatterState) slabFor(t *sim.Task, node int, vec []byte, y int, k func([]byte)) {
 	offs := st.offs[y]
 	if len(offs) == 0 || st.blk == 0 {
-		return nil
+		k(nil)
+		return
 	}
 	contiguous := true
 	for l := 1; l < len(offs); l++ {
@@ -95,22 +109,22 @@ func (st *reduceScatterState) slabFor(p *sim.Proc, node int, vec []byte, y int) 
 		}
 	}
 	if contiguous {
-		return vec[offs[0] : offs[0]+len(offs)*st.blk]
+		k(vec[offs[0] : offs[0]+len(offs)*st.blk])
+		return
 	}
 	slab := make([]byte, len(offs)*st.blk)
 	for l, off := range offs {
 		copy(slab[l*st.blk:(l+1)*st.blk], vec[off:off+st.blk])
 	}
-	st.g.s.m.ChargeCopy(p, node, len(slab))
-	st.g.s.m.Stats.AddCopy(len(slab))
-	return slab
+	st.g.s.m.ChargeCopyT(t, node, len(slab), func() {
+		st.g.s.m.Stats.AddCopy(len(slab))
+		k(slab)
+	})
 }
 
-// ReduceScatter combines the members' send vectors (Size()*blk bytes,
-// group order) elementwise and scatters the result: the member with group
-// rank i receives reduced block i in recv (MPI_Reduce_scatter_block
-// semantics).
-func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
+// ReduceScatterT is ReduceScatter in continuation-passing form: kont runs once
+// it completes.
+func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
 	ds := dataspec{dt: dt, op: op}
 	if err := ds.validate(len(send)); err != nil {
 		panic(err)
@@ -122,62 +136,99 @@ func (g *Group) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype
 		panic(fmt.Sprintf("core: ReduceScatter block %d not element-aligned", len(recv)))
 	}
 	st, release := g.acquire(rank, func() any { return newReduceScatterState(g, len(recv), ds) })
-	defer release()
 	r := st.(*reduceScatterState)
 	if r.blk != len(recv) || r.ds != ds {
 		panic(fmt.Sprintf("core: ReduceScatter mismatch at rank %d", rank))
 	}
-	r.run(p, rank, send, recv)
+	r.run(t, rank, send, recv, opDone(t, release, kont))
 }
 
-// ReduceScatter is Group.ReduceScatter over all ranks.
-func (s *SRM) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	s.World().ReduceScatter(p, rank, send, recv, dt, op)
+// ReduceScatterT is Group.ReduceScatterT over all ranks.
+func (s *SRM) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	s.World().ReduceScatterT(t, rank, send, recv, dt, op, kont)
 }
 
-func (st *reduceScatterState) run(p *sim.Proc, rank int, send, recv []byte) {
+func (st *reduceScatterState) run(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	g := st.g
 	s := g.s
 	x := g.lay.ni[rank]
 	li := g.lay.li[rank]
 	nn := len(g.lay.nodes)
+	node := g.lay.nodes[x]
+
+	// Phase 3: every member copies its block out of shared memory.
+	copyOut := func() {
+		st.ready[x].WaitForT(t, 1, func() {
+			if st.blk > 0 {
+				off := li * st.blk
+				s.m.MemcpyT(t, node, recv, st.acc[x][off:off+st.blk], kont)
+				return
+			}
+			kont()
+		})
+	}
 
 	// Phase 1: full-vector SMP reduce into the master's partial buffer.
 	if rank != g.lay.local[x][0] {
-		st.rn[x].worker(p, li, send, st.sp, st.ds)
-	} else {
-		ep := s.dom.Endpoint(rank)
-		for k, c := range st.sp {
-			tchunk := st.partial[x][c.off : c.off+c.n]
-			own := send[c.off : c.off+c.n]
-			if !st.rn[x].masterChunk(p, k, tchunk, own, st.ds) && c.n > 0 {
-				s.m.Memcpy(p, g.lay.nodes[x], tchunk, own) // single member node
+		st.rn[x].worker(t, li, send, st.sp, st.ds, copyOut)
+		return
+	}
+	ep := s.dom.Endpoint(rank)
+
+	// Phase 2: ship each peer node its members' blocks, combine the
+	// inbound partials for this node's own blocks.
+	exchange := func() {
+		st.slabFor(t, node, st.partial[x], x, func(own []byte) {
+			copy(st.acc[x], own)
+			var put func(d int)
+			put = func(d int) {
+				if d >= nn {
+					var fold func(d int)
+					fold = func(d int) {
+						if d >= nn {
+							st.ready[x].Set(1)
+							copyOut()
+							return
+						}
+						y := (x + d) % nn
+						ep.WaitcntrT(t, st.arr[x][y], 1, func() {
+							if len(st.acc[x]) > 0 {
+								st.ds.acc(st.acc[x], st.slot[x][y])
+								s.combineCharge(t, len(st.acc[x]), st.ds.dt.Size(), func() { fold(d + 1) })
+								return
+							}
+							fold(d + 1)
+						})
+					}
+					fold(1)
+					return
+				}
+				y := (x + d) % nn
+				st.slabFor(t, node, st.partial[x], y, func(slab []byte) {
+					ep.PutT(t, s.dom.Endpoint(g.lay.local[y][0]), st.slot[y][x],
+						slab, nil, st.arr[y][x], nil, func() { put(d + 1) })
+				})
 			}
-		}
-		// Phase 2: ship each peer node its members' blocks, combine the
-		// inbound partials for this node's own blocks.
-		copy(st.acc[x], st.slabFor(p, g.lay.nodes[x], st.partial[x], x))
-		for d := 1; d < nn; d++ {
-			y := (x + d) % nn
-			slab := st.slabFor(p, g.lay.nodes[x], st.partial[x], y)
-			ep.Put(p, s.dom.Endpoint(g.lay.local[y][0]), st.slot[y][x],
-				slab, nil, st.arr[y][x], nil)
-		}
-		for d := 1; d < nn; d++ {
-			y := (x + d) % nn
-			ep.Waitcntr(p, st.arr[x][y], 1)
-			if len(st.acc[x]) > 0 {
-				st.ds.acc(st.acc[x], st.slot[x][y])
-				s.combineCharge(p, len(st.acc[x]), st.ds.dt.Size())
-			}
-		}
-		st.ready[x].Set(1)
+			put(1)
+		})
 	}
 
-	// Phase 3: every member copies its block out of shared memory.
-	st.ready[x].WaitFor(p, 1)
-	if st.blk > 0 {
-		off := li * st.blk
-		s.m.Memcpy(p, g.lay.nodes[x], recv, st.acc[x][off:off+st.blk])
+	var chunk func(k int)
+	chunk = func(k int) {
+		if k >= len(st.sp) {
+			exchange()
+			return
+		}
+		c := st.sp[k]
+		tchunk := st.partial[x][c.off : c.off+c.n]
+		own := send[c.off : c.off+c.n]
+		st.rn[x].masterChunk(t, k, tchunk, own, st.ds, func(have bool) {
+			if !have && c.n > 0 {
+				s.m.MemcpyT(t, g.lay.nodes[x], tchunk, own, func() { chunk(k + 1) }) // single member node
+				return
+			}
+			chunk(k + 1)
+		})
 	}
+	chunk(0)
 }

@@ -107,59 +107,79 @@ func (a *rhdState) segment(x, r, elems int) (lo, hi int) {
 	return lo, hi
 }
 
-func (a *rhdState) run(p *sim.Proc, rank int, send, recv []byte) {
+func (a *rhdState) run(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	g := a.g
 	x := g.lay.ni[rank]
 	l := g.lay.li[rank]
 	if l != 0 {
-		a.rn[x].worker(p, l, send, a.sp, a.ds)
-		for k, c := range a.sp {
-			a.pub[x].Consume(p, l, k, recv[c.off:c.off+c.n])
-		}
+		a.rn[x].worker(t, l, send, a.sp, a.ds, func() {
+			consumeAll(t, a.pub[x], l, a.sp, recv, kont)
+		})
 		return
 	}
 	a.resBuf[x] = recv
 	a.resReady[x].Trigger()
 	ep := g.s.dom.Endpoint(rank)
 	enable := g.s.quietNet(ep, a.size)
-	defer enable()
-	a.master(p, ep, x, send, recv)
-	a.pub[x].Publish(p, 0, recv, false)
-	a.pub[x].waitConsumed(p, 0)
+	a.master(t, ep, x, send, recv, func() {
+		a.pub[x].Publish(t, 0, recv, false, func() {
+			a.pub[x].waitConsumed(t, 0, func() {
+				enable()
+				kont()
+			})
+		})
+	})
 }
 
 // master runs the fold-in, the halving reduce-scatter, the doubling
 // allgather, and the fold-out, leaving the full result in recv.
-func (a *rhdState) master(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
+func (a *rhdState) master(t *sim.Task, ep *rma.Endpoint, x int, send, recv []byte, kont func()) {
 	g := a.g
 	s := g.s
 	nn := len(g.lay.nodes)
 	esize := a.ds.dt.Size()
 	elems := a.size / esize
-	have := a.rn[x].masterChunk(p, 0, recv, send, a.ds)
-	if !have && a.size > 0 {
-		s.m.Memcpy(p, g.lay.nodes[x], recv, send) // single task on the node
-	}
-	if x >= a.pow {
-		// Fold out: hand the node partial to the peer, then receive the
-		// finished vector straight into recv.
-		peer := x - a.pow
-		ep.Put(p, g.masterEp(peer), a.foldSlot[peer], recv[:a.size], nil, a.foldArr[peer], nil)
-		ep.Waitcntr(p, a.resArr[x], 1)
-		return
-	}
-	if x+a.pow < nn {
-		ep.Waitcntr(p, a.foldArr[x], 1)
-		if a.size > 0 {
-			a.ds.acc(recv, a.foldSlot[x])
-			s.combineCharge(p, a.size, esize)
-		}
-	}
 	rounds := len(a.halfArr[x])
+
+	unfold := func() {
+		if x+a.pow < nn {
+			// Return the full result to the folded-out node's recv buffer.
+			extra := x + a.pow
+			a.resReady[extra].WaitT(t, func() {
+				ep.PutT(t, g.masterEp(extra), a.resBuf[extra], recv[:a.size],
+					nil, a.resArr[extra], nil, kont)
+			})
+			return
+		}
+		kont()
+	}
+	// Allgather by recursive doubling: walk the rounds back up, putting the
+	// finished segment straight into the partner's receive buffer.
+	var gather func(r int)
+	gather = func(r int) {
+		if r < 0 {
+			unfold()
+			return
+		}
+		d := a.pow >> (r + 1)
+		partner := x ^ d
+		lo, hi := a.segment(x, r+1, elems)
+		a.resReady[partner].WaitT(t, func() {
+			ep.PutT(t, g.masterEp(partner), a.resBuf[partner][lo*esize:hi*esize],
+				recv[lo*esize:hi*esize], nil, a.dblArr[partner][r], nil, func() {
+					ep.WaitcntrT(t, a.dblArr[x][r], 1, func() { gather(r - 1) })
+				})
+		})
+	}
 	// Reduce-scatter by recursive halving: each round trades the half of
 	// the current segment the partner keeps, then combines the received
 	// half into the kept one.
-	for r := 0; r < rounds; r++ {
+	var scatter func(r int)
+	scatter = func(r int) {
+		if r >= rounds {
+			gather(rounds - 1)
+			return
+		}
 		d := a.pow >> (r + 1)
 		partner := x ^ d
 		lo, hi := a.segment(x, r, elems)
@@ -169,29 +189,50 @@ func (a *rhdState) master(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byt
 			sLo, sHi, kLo, kHi = lo, mid, mid, hi
 		}
 		sb := recv[sLo*esize : sHi*esize]
-		ep.Put(p, g.masterEp(partner), a.halfSlot[partner][r][:len(sb)], sb,
-			nil, a.halfArr[partner][r], nil)
-		ep.Waitcntr(p, a.halfArr[x][r], 1)
-		if n := (kHi - kLo) * esize; n > 0 {
-			a.ds.acc(recv[kLo*esize:kHi*esize], a.halfSlot[x][r][:n])
-			s.combineCharge(p, n, esize)
+		ep.PutT(t, g.masterEp(partner), a.halfSlot[partner][r][:len(sb)], sb,
+			nil, a.halfArr[partner][r], nil, func() {
+				ep.WaitcntrT(t, a.halfArr[x][r], 1, func() {
+					if n := (kHi - kLo) * esize; n > 0 {
+						a.ds.acc(recv[kLo*esize:kHi*esize], a.halfSlot[x][r][:n])
+						s.combineCharge(t, n, esize, func() { scatter(r + 1) })
+						return
+					}
+					scatter(r + 1)
+				})
+			})
+	}
+	foldIn := func() {
+		if x+a.pow < nn {
+			ep.WaitcntrT(t, a.foldArr[x], 1, func() {
+				if a.size > 0 {
+					a.ds.acc(recv, a.foldSlot[x])
+					s.combineCharge(t, a.size, esize, func() { scatter(0) })
+					return
+				}
+				scatter(0)
+			})
+			return
 		}
+		scatter(0)
 	}
-	// Allgather by recursive doubling: walk the rounds back up, putting
-	// the finished segment straight into the partner's receive buffer.
-	for r := rounds - 1; r >= 0; r-- {
-		d := a.pow >> (r + 1)
-		partner := x ^ d
-		lo, hi := a.segment(x, r+1, elems)
-		p.Wait(a.resReady[partner])
-		ep.Put(p, g.masterEp(partner), a.resBuf[partner][lo*esize:hi*esize],
-			recv[lo*esize:hi*esize], nil, a.dblArr[partner][r], nil)
-		ep.Waitcntr(p, a.dblArr[x][r], 1)
-	}
-	if x+a.pow < nn {
-		// Return the full result to the folded-out node's recv buffer.
-		extra := x + a.pow
-		p.Wait(a.resReady[extra])
-		ep.Put(p, g.masterEp(extra), a.resBuf[extra], recv[:a.size], nil, a.resArr[extra], nil)
-	}
+	a.rn[x].masterChunk(t, 0, recv, send, a.ds, func(have bool) {
+		next := func() {
+			if x >= a.pow {
+				// Fold out: hand the node partial to the peer, then receive
+				// the finished vector straight into recv.
+				peer := x - a.pow
+				ep.PutT(t, g.masterEp(peer), a.foldSlot[peer], recv[:a.size],
+					nil, a.foldArr[peer], nil, func() {
+						ep.WaitcntrT(t, a.resArr[x], 1, kont)
+					})
+				return
+			}
+			foldIn()
+		}
+		if !have && a.size > 0 {
+			s.m.MemcpyT(t, g.lay.nodes[x], recv, send, next) // single task on the node
+			return
+		}
+		next()
+	})
 }

@@ -103,64 +103,92 @@ func (a *ringState) stepBlocks(x, st int) (sendIdx, recvIdx int) {
 	return ((x+1-s2)%nn + nn) % nn, ((x-s2)%nn + nn) % nn
 }
 
-func (a *ringState) run(p *sim.Proc, rank int, send, recv []byte) {
+func (a *ringState) run(t *sim.Task, rank int, send, recv []byte, kont func()) {
 	g := a.g
 	x := g.lay.ni[rank]
 	l := g.lay.li[rank]
 	if l != 0 {
-		a.rn[x].worker(p, l, send, a.sp, a.ds)
-		for k, c := range a.sp {
-			a.pub[x].Consume(p, l, k, recv[c.off:c.off+c.n])
-		}
+		a.rn[x].worker(t, l, send, a.sp, a.ds, func() {
+			consumeAll(t, a.pub[x], l, a.sp, recv, kont)
+		})
 		return
 	}
 	a.resBuf[x] = recv
 	a.resReady[x].Trigger()
 	ep := g.s.dom.Endpoint(rank)
 	enable := g.s.quietNet(ep, a.size)
-	defer enable()
-	a.master(p, ep, x, send, recv)
-	a.pub[x].Publish(p, 0, recv, false)
-	a.pub[x].waitConsumed(p, 0)
+	a.master(t, ep, x, send, recv, func() {
+		a.pub[x].Publish(t, 0, recv, false, func() {
+			a.pub[x].waitConsumed(t, 0, func() {
+				enable()
+				kont()
+			})
+		})
+	})
 }
 
 // master reduces the node contributions into recv, then runs the
 // 2(nn-1)-step ring exchange. Each step sends one block right, waits for
 // the matching block from the left, combines (reduce-scatter half) or
 // copies it in (allgather half), and recredits the left neighbour.
-func (a *ringState) master(p *sim.Proc, ep *rma.Endpoint, x int, send, recv []byte) {
+func (a *ringState) master(t *sim.Task, ep *rma.Endpoint, x int, send, recv []byte, kont func()) {
 	g := a.g
 	s := g.s
 	nn := len(g.lay.nodes)
-	have := a.rn[x].masterChunk(p, 0, recv, send, a.ds)
-	if !have && a.size > 0 {
-		s.m.Memcpy(p, g.lay.nodes[x], recv, send) // single task on the node
-	}
-	if nn == 1 {
-		return
-	}
 	right := (x + 1) % nn
 	left := (x + nn - 1) % nn
 	steps := 2 * (nn - 1)
-	for st := 0; st < steps; st++ {
+	var step func(st int)
+	step = func(st int) {
+		if st >= steps {
+			kont()
+			return
+		}
 		sendIdx, recvIdx := a.stepBlocks(x, st)
 		sb := a.blk[sendIdx]
 		rb := a.blk[recvIdx]
-		ep.Waitcntr(p, a.credit[x], 1)
-		ep.Put(p, g.masterEp(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n],
-			nil, a.arr[right][st%2], nil)
-		ep.Waitcntr(p, a.arr[x][st%2], 1)
-		src := a.slot[x][st%2][:rb.n]
-		if st < nn-1 {
-			if rb.n > 0 {
-				a.ds.acc(recv[rb.off:rb.off+rb.n], src)
-				s.combineCharge(p, rb.n, a.ds.dt.Size())
-			}
-		} else if rb.n > 0 {
-			s.m.Memcpy(p, g.lay.nodes[x], recv[rb.off:rb.off+rb.n], src)
-		}
-		if st+2 < steps {
-			ep.PutZero(p, g.masterEp(left), a.credit[left])
-		}
+		ep.WaitcntrT(t, a.credit[x], 1, func() {
+			ep.PutT(t, g.masterEp(right), a.slot[right][st%2][:sb.n], recv[sb.off:sb.off+sb.n],
+				nil, a.arr[right][st%2], nil, func() {
+					ep.WaitcntrT(t, a.arr[x][st%2], 1, func() {
+						src := a.slot[x][st%2][:rb.n]
+						recredit := func() {
+							if st+2 < steps {
+								ep.PutZeroT(t, g.masterEp(left), a.credit[left], func() { step(st + 1) })
+								return
+							}
+							step(st + 1)
+						}
+						if st < nn-1 {
+							if rb.n > 0 {
+								a.ds.acc(recv[rb.off:rb.off+rb.n], src)
+								s.combineCharge(t, rb.n, a.ds.dt.Size(), recredit)
+								return
+							}
+							recredit()
+							return
+						}
+						if rb.n > 0 {
+							s.m.MemcpyT(t, g.lay.nodes[x], recv[rb.off:rb.off+rb.n], src, recredit)
+							return
+						}
+						recredit()
+					})
+				})
+		})
 	}
+	a.rn[x].masterChunk(t, 0, recv, send, a.ds, func(have bool) {
+		start := func() {
+			if nn == 1 {
+				kont()
+				return
+			}
+			step(0)
+		}
+		if !have && a.size > 0 {
+			s.m.MemcpyT(t, g.lay.nodes[x], recv, send, start) // single task on the node
+			return
+		}
+		start()
+	})
 }

@@ -58,30 +58,13 @@ func newScanState(g *Group, size int, ds dataspec) *scanState {
 // Scan leaves in each member's recv the reduction of the send buffers of
 // all members with group rank <= its own (inclusive prefix).
 func (g *Group) Scan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	g.scan(p, rank, send, recv, dt, op, false)
+	p.Await(func(t *sim.Task, k func()) { g.ScanT(t, rank, send, recv, dt, op, k) })
 }
 
 // Exscan is the exclusive prefix: member i receives the reduction over
 // group ranks < i; the first member's recv is left zeroed.
 func (g *Group) Exscan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op) {
-	g.scan(p, rank, send, recv, dt, op, true)
-}
-
-func (g *Group) scan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, exclusive bool) {
-	ds := dataspec{dt: dt, op: op}
-	if err := ds.validate(len(send)); err != nil {
-		panic(err)
-	}
-	if len(recv) != len(send) {
-		panic(fmt.Sprintf("core: scan recv %d bytes, want %d", len(recv), len(send)))
-	}
-	st, release := g.acquire(rank, func() any { return newScanState(g, len(send), ds) })
-	defer release()
-	sc := st.(*scanState)
-	if sc.size != len(send) || sc.ds != ds {
-		panic(fmt.Sprintf("core: scan mismatch at rank %d", rank))
-	}
-	sc.run(p, rank, send, recv, exclusive)
+	p.Await(func(t *sim.Task, k func()) { g.ExscanT(t, rank, send, recv, dt, op, k) })
 }
 
 // Scan is Group.Scan over all ranks.
@@ -94,7 +77,43 @@ func (s *SRM) Exscan(p *sim.Proc, rank int, send, recv []byte, dt dtype.Type, op
 	s.World().Exscan(p, rank, send, recv, dt, op)
 }
 
-func (st *scanState) run(p *sim.Proc, rank int, send, recv []byte, exclusive bool) {
+// ScanT is Scan in continuation-passing form: kont runs once it completes.
+func (g *Group) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	g.scan(t, rank, send, recv, dt, op, false, kont)
+}
+
+// ExscanT is Exscan in continuation-passing form: kont runs once it completes.
+func (g *Group) ExscanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	g.scan(t, rank, send, recv, dt, op, true, kont)
+}
+
+func (g *Group) scan(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, exclusive bool, kont func()) {
+	ds := dataspec{dt: dt, op: op}
+	if err := ds.validate(len(send)); err != nil {
+		panic(err)
+	}
+	if len(recv) != len(send) {
+		panic(fmt.Sprintf("core: scan recv %d bytes, want %d", len(recv), len(send)))
+	}
+	st, release := g.acquire(rank, func() any { return newScanState(g, len(send), ds) })
+	sc := st.(*scanState)
+	if sc.size != len(send) || sc.ds != ds {
+		panic(fmt.Sprintf("core: scan mismatch at rank %d", rank))
+	}
+	sc.run(t, rank, send, recv, exclusive, opDone(t, release, kont))
+}
+
+// ScanT is Group.ScanT over all ranks.
+func (s *SRM) ScanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	s.World().ScanT(t, rank, send, recv, dt, op, kont)
+}
+
+// ExscanT is Group.ExscanT over all ranks.
+func (s *SRM) ExscanT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op dtype.Op, kont func()) {
+	s.World().ExscanT(t, rank, send, recv, dt, op, kont)
+}
+
+func (st *scanState) run(t *sim.Task, rank int, send, recv []byte, exclusive bool, kont func()) {
 	g := st.g
 	s := g.s
 	gi := g.lay.li[rank] // placeholder; real group rank below
@@ -107,41 +126,68 @@ func (st *scanState) run(p *sim.Proc, rank int, send, recv []byte, exclusive boo
 	node := g.lay.nodes[g.lay.ni[rank]]
 	ep := s.dom.Endpoint(rank)
 
-	// Running inclusive partial lives in recv.
-	if st.size > 0 {
-		s.m.Memcpy(p, node, recv, send)
+	shift := func() {
+		if !exclusive {
+			kont()
+			return
+		}
+		// Exscan: shift the inclusive results right by one member.
+		pull := func() {
+			if gi > 0 {
+				ep.WaitcntrT(t, st.sarr[gi], 1, func() {
+					if st.size > 0 {
+						s.m.MemcpyT(t, node, recv, st.shift[gi], kont)
+						return
+					}
+					kont()
+				})
+				return
+			}
+			for i := range recv {
+				recv[i] = 0
+			}
+			kont()
+		}
+		if gi+1 < P {
+			target := g.lay.members[gi+1]
+			ep.PutT(t, s.dom.Endpoint(target), st.shift[gi+1], recv, nil, st.sarr[gi+1], nil, pull)
+			return
+		}
+		pull()
 	}
-	for r := 0; r < st.rounds; r++ {
+	var round func(r int)
+	round = func(r int) {
+		if r >= st.rounds {
+			shift()
+			return
+		}
 		dist := 1 << r
+		fold := func() {
+			if gi-dist >= 0 {
+				ep.WaitcntrT(t, st.arr[gi][r], 1, func() {
+					if st.size > 0 {
+						st.ds.acc(recv, st.slot[gi][r]) // commutative fold
+						s.combineCharge(t, st.size, st.ds.dt.Size(), func() { round(r + 1) })
+						return
+					}
+					round(r + 1)
+				})
+				return
+			}
+			round(r + 1)
+		}
 		if gi+dist < P {
 			target := g.lay.members[gi+dist]
-			ep.Put(p, s.dom.Endpoint(target), st.slot[gi+dist][r], recv,
-				nil, st.arr[gi+dist][r], nil)
+			ep.PutT(t, s.dom.Endpoint(target), st.slot[gi+dist][r], recv,
+				nil, st.arr[gi+dist][r], nil, fold)
+			return
 		}
-		if gi-dist >= 0 {
-			ep.Waitcntr(p, st.arr[gi][r], 1)
-			if st.size > 0 {
-				st.ds.acc(recv, st.slot[gi][r]) // commutative fold
-				s.combineCharge(p, st.size, st.ds.dt.Size())
-			}
-		}
+		fold()
 	}
-	if !exclusive {
+	// Running inclusive partial lives in recv.
+	if st.size > 0 {
+		s.m.MemcpyT(t, node, recv, send, func() { round(0) })
 		return
 	}
-	// Exscan: shift the inclusive results right by one member.
-	if gi+1 < P {
-		target := g.lay.members[gi+1]
-		ep.Put(p, s.dom.Endpoint(target), st.shift[gi+1], recv, nil, st.sarr[gi+1], nil)
-	}
-	if gi > 0 {
-		ep.Waitcntr(p, st.sarr[gi], 1)
-		if st.size > 0 {
-			s.m.Memcpy(p, node, recv, st.shift[gi])
-		}
-	} else {
-		for i := range recv {
-			recv[i] = 0
-		}
-	}
+	round(0)
 }

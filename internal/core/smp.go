@@ -38,47 +38,70 @@ func (s *SRM) newSmpPub(node, masterLocal, count, bufSize int) *smpPub {
 
 // waitConsumed blocks the master until every other local task has consumed
 // chunks 0..k (done flags reach k+1).
-func (pub *smpPub) waitConsumed(p *sim.Proc, k int) {
-	for i := 0; i < pub.done.Len(); i++ {
-		if i == pub.masterLocal {
-			continue
+func (pub *smpPub) waitConsumed(t *sim.Task, k int, kont func()) {
+	var step func(i int)
+	step = func(i int) {
+		for i == pub.masterLocal {
+			i++
 		}
-		pub.done.Flag(i).WaitGE(p, k+1)
+		if i >= pub.done.Len() {
+			kont()
+			return
+		}
+		pub.done.Flag(i).WaitGET(t, k+1, func() { step(i + 1) })
 	}
+	step(0)
 }
 
 // Publish makes chunk k (content src) readable by the node's other tasks.
 // With direct=true src is already shared memory and is exposed as is;
 // otherwise the master copies it into the staging buffer of parity k%2,
 // first waiting for that buffer's previous chunk to be consumed.
-func (pub *smpPub) Publish(p *sim.Proc, k int, src []byte, direct bool) {
+func (pub *smpPub) Publish(t *sim.Task, k int, src []byte, direct bool, kont func()) {
 	if pub.done.Len() == 1 {
-		return // no other task on the node
+		kont()
+		return
 	}
-	id := pub.s.m.Env.Trace.Begin(p.Track(), trace.ClassSmp, "smp:publish", int64(len(src)))
+	id := pub.s.m.Env.Trace.Begin(t.Track(), trace.ClassSmp, "smp:publish", int64(len(src)))
 	parity := k % 2
+	fin := func() {
+		pub.ready.Set(k + 1)
+		pub.s.m.Env.Trace.End(id)
+		kont()
+	}
 	if direct {
 		pub.cur[parity] = src
-	} else {
-		if k >= 2 {
-			pub.waitConsumed(p, k-2) // buffer reuse: Figure 3 flag protocol
-		}
-		pub.s.m.Memcpy(p, pub.node, pub.buf[parity][:len(src)], src)
-		pub.cur[parity] = pub.buf[parity][:len(src)]
+		fin()
+		return
 	}
-	pub.ready.Set(k + 1)
-	pub.s.m.Env.Trace.End(id)
+	stage := func() {
+		pub.s.m.MemcpyT(t, pub.node, pub.buf[parity][:len(src)], src, func() {
+			pub.cur[parity] = pub.buf[parity][:len(src)]
+			fin()
+		})
+	}
+	if k >= 2 {
+		pub.waitConsumed(t, k-2, stage) // buffer reuse: Figure 3 flag protocol
+	} else {
+		stage()
+	}
 }
 
 // Consume copies chunk k into dst at a non-master task.
-func (pub *smpPub) Consume(p *sim.Proc, local, k int, dst []byte) {
-	id := pub.s.m.Env.Trace.Begin(p.Track(), trace.ClassSmp, "smp:consume", int64(len(dst)))
-	pub.ready.WaitGE(p, k+1)
-	if len(dst) > 0 {
-		pub.s.m.Memcpy(p, pub.node, dst, pub.cur[k%2][:len(dst)])
-	}
-	pub.done.Flag(local).Set(k + 1)
-	pub.s.m.Env.Trace.End(id)
+func (pub *smpPub) Consume(t *sim.Task, local, k int, dst []byte, kont func()) {
+	id := pub.s.m.Env.Trace.Begin(t.Track(), trace.ClassSmp, "smp:consume", int64(len(dst)))
+	pub.ready.WaitGET(t, k+1, func() {
+		fin := func() {
+			pub.done.Flag(local).Set(k + 1)
+			pub.s.m.Env.Trace.End(id)
+			kont()
+		}
+		if len(dst) > 0 {
+			pub.s.m.MemcpyT(t, pub.node, dst, pub.cur[k%2][:len(dst)], fin)
+		} else {
+			fin()
+		}
+	})
 }
 
 // treePub is the tree-based SMP broadcast variant §2.2 measured and
@@ -115,76 +138,118 @@ func (s *SRM) newTreePub(node, masterLocal, count, bufSize int) *treePub {
 	return tp
 }
 
+// waitAcks blocks until every child of local task v pulled chunk k.
+func (tp *treePub) waitAcks(t *sim.Task, v, k int, kont func()) {
+	var step func(i int)
+	step = func(i int) {
+		if i >= len(tp.ack[v]) {
+			kont()
+			return
+		}
+		tp.ack[v][i].WaitGET(t, k+1, func() { step(i + 1) })
+	}
+	step(0)
+}
+
 // Publish runs the master side: copy chunk k into the master buffer and
 // mark it available; children pull it down the tree in their own Consume.
-func (tp *treePub) Publish(p *sim.Proc, k int, src []byte, direct bool) {
+func (tp *treePub) Publish(t *sim.Task, k int, src []byte, direct bool, kont func()) {
 	root := tp.tr.Root
 	if len(tp.full) == 1 {
+		kont()
 		return
 	}
 	parity := k % 2
+	fin := func() {
+		tp.full[root].Set(k + 1)
+		kont()
+	}
 	if direct {
 		tp.buf[root][parity] = src // expose shared source without a copy
-	} else {
-		if k >= 2 {
-			tp.waitAcks(p, root, k-2)
-		}
-		tp.s.m.Memcpy(p, tp.node, tp.buf[root][parity][:len(src)], src)
+		fin()
+		return
 	}
-	tp.full[root].Set(k + 1)
-}
-
-// waitAcks blocks until every child of local task v pulled chunk k.
-func (tp *treePub) waitAcks(p *sim.Proc, v, k int) {
-	for _, f := range tp.ack[v] {
-		f.WaitGE(p, k+1)
+	cp := func() {
+		tp.s.m.MemcpyT(t, tp.node, tp.buf[root][parity][:len(src)], src, fin)
+	}
+	if k >= 2 {
+		tp.waitAcks(t, root, k-2, cp)
+	} else {
+		cp()
 	}
 }
 
 // Consume runs a non-master task: pull chunk k from the parent's buffer
 // into dst and, if this task has children, into its own staging buffer.
-func (tp *treePub) Consume(p *sim.Proc, local, k int, dst []byte) {
+func (tp *treePub) Consume(t *sim.Task, local, k int, dst []byte, kont func()) {
 	parent := tp.tr.Parent[local]
 	parity := k % 2
-	tp.full[parent].WaitGE(p, k+1)
-	src := tp.buf[parent][parity][:len(dst)]
-	if len(tp.tr.Children[local]) > 0 {
-		if k >= 2 {
-			tp.waitAcks(p, local, k-2)
+	tp.full[parent].WaitGET(t, k+1, func() {
+		src := tp.buf[parent][parity][:len(dst)]
+		ackParent := func() {
+			for j, c := range tp.tr.Children[parent] {
+				if c == local {
+					tp.ack[parent][j].Set(k + 1)
+				}
+			}
+			kont()
+		}
+		if len(tp.tr.Children[local]) > 0 {
+			relay := func() {
+				if len(dst) > 0 {
+					tp.s.m.MemcpyT(t, tp.node, tp.buf[local][parity][:len(dst)], src, func() {
+						tp.s.m.MemcpyT(t, tp.node, dst, tp.buf[local][parity][:len(dst)], func() {
+							tp.full[local].Set(k + 1)
+							ackParent()
+						})
+					})
+					return
+				}
+				tp.full[local].Set(k + 1)
+				ackParent()
+			}
+			if k >= 2 {
+				tp.waitAcks(t, local, k-2, relay)
+			} else {
+				relay()
+			}
+			return
 		}
 		if len(dst) > 0 {
-			tp.s.m.Memcpy(p, tp.node, tp.buf[local][parity][:len(dst)], src)
-			tp.s.m.Memcpy(p, tp.node, dst, tp.buf[local][parity][:len(dst)])
+			tp.s.m.MemcpyT(t, tp.node, dst, src, ackParent)
+			return
 		}
-		tp.full[local].Set(k + 1)
-	} else if len(dst) > 0 {
-		tp.s.m.Memcpy(p, tp.node, dst, src)
-	}
-	// Tell the parent this child is done with chunk k.
-	for j, c := range tp.tr.Children[parent] {
-		if c == local {
-			tp.ack[parent][j].Set(k + 1)
-		}
-	}
+		ackParent()
+	})
 }
 
 // waitConsumed blocks the master until the whole subtree consumed chunk k.
 // With the ack chain, the master's direct children acking chunk k implies
 // their subtrees have copied it (children ack only after their own copy).
-func (tp *treePub) waitConsumed(p *sim.Proc, k int) {
-	tp.waitAcks(p, tp.tr.Root, k)
+func (tp *treePub) waitConsumed(t *sim.Task, k int, kont func()) {
+	tp.waitAcks(t, tp.tr.Root, k, kont)
 }
 
-// publisher abstracts the SMP broadcast variants. Each variant implements
-// both engines: the Proc methods and their Task-engine CPS counterparts
-// (smp_task.go).
+// publisher abstracts the SMP broadcast variants.
 type publisher interface {
-	Publish(p *sim.Proc, k int, src []byte, direct bool)
-	Consume(p *sim.Proc, local, k int, dst []byte)
-	waitConsumed(p *sim.Proc, k int)
-	PublishT(t *sim.Task, k int, src []byte, direct bool, kont func())
-	ConsumeT(t *sim.Task, local, k int, dst []byte, kont func())
-	waitConsumedT(t *sim.Task, k int, kont func())
+	Publish(t *sim.Task, k int, src []byte, direct bool, kont func())
+	Consume(t *sim.Task, local, k int, dst []byte, kont func())
+	waitConsumed(t *sim.Task, k int, kont func())
+}
+
+// consumeAll runs a non-master task through every chunk of a publication:
+// chunk k (span sp[k] of the message) is copied into its place in dst.
+func consumeAll(t *sim.Task, pub publisher, local int, sp []span, dst []byte, kont func()) {
+	var step func(k int)
+	step = func(k int) {
+		if k >= len(sp) {
+			kont()
+			return
+		}
+		c := sp[k]
+		pub.Consume(t, local, k, dst[c.off:c.off+c.n], func() { step(k + 1) })
+	}
+	step(0)
 }
 
 // newPublisher picks the SMP broadcast variant per Options. count is the
@@ -233,57 +298,80 @@ func (s *SRM) newRedNode(node, masterLocal, count, chunk int) *redNode {
 // worker runs the complete non-master role of the SMP reduce over all
 // chunks of send: leaves copy chunks into their slot; interior tasks wait
 // for child slots and combine them with their own data into their slot.
-func (rn *redNode) worker(p *sim.Proc, local int, send []byte, sp []span, ds dataspec) {
-	for k, c := range sp {
-		parity := k % 2
-		// Wait for the parent to have consumed this parity's previous chunk.
-		rn.free[local].WaitGE(p, k-1)
-		target := rn.slot[local][parity][:c.n]
-		own := send[c.off : c.off+c.n]
-		kids := rn.tr.Children[local]
-		if len(kids) == 0 {
-			if c.n > 0 {
-				rn.s.m.Memcpy(p, rn.node, target, own) // the Figure 2 leaf copy
-			}
-		} else {
-			rn.combineChildren(p, k, kids, target, own, ds)
+func (rn *redNode) worker(t *sim.Task, local int, send []byte, sp []span, ds dataspec, kont func()) {
+	var step func(k int)
+	step = func(k int) {
+		if k >= len(sp) {
+			kont()
+			return
 		}
-		rn.full[local].Set(k + 1)
+		c := sp[k]
+		parity := k % 2
+		rn.free[local].WaitGET(t, k-1, func() {
+			target := rn.slot[local][parity][:c.n]
+			own := send[c.off : c.off+c.n]
+			kids := rn.tr.Children[local]
+			fin := func() {
+				rn.full[local].Set(k + 1)
+				step(k + 1)
+			}
+			if len(kids) == 0 {
+				if c.n > 0 {
+					rn.s.m.MemcpyT(t, rn.node, target, own, fin) // the Figure 2 leaf copy
+					return
+				}
+				fin()
+				return
+			}
+			rn.combineChildren(t, k, kids, target, own, ds, fin)
+		})
 	}
+	step(0)
 }
 
 // combineChildren folds the chunk-k slots of kids together with own into
 // target, charging combine time; it marks each child slot free afterwards.
-func (rn *redNode) combineChildren(p *sim.Proc, k int, kids []int, target, own []byte, ds dataspec) {
+func (rn *redNode) combineChildren(t *sim.Task, k int, kids []int, target, own []byte, ds dataspec, kont func()) {
 	parity := k % 2
-	first := true
-	for _, c := range kids {
-		rn.full[c].WaitGE(p, k+1)
-		src := rn.slot[c][parity][:len(target)]
-		if len(target) > 0 {
-			if first {
-				ds.into(target, own, src)
-			} else {
-				ds.acc(target, src)
-			}
-			rn.s.combineCharge(p, len(target), ds.dt.Size())
+	var step func(i int, first bool)
+	step = func(i int, first bool) {
+		if i >= len(kids) {
+			kont()
+			return
 		}
-		first = false
-		rn.free[c].Set(k + 1)
+		c := kids[i]
+		rn.full[c].WaitGET(t, k+1, func() {
+			src := rn.slot[c][parity][:len(target)]
+			next := func() {
+				rn.free[c].Set(k + 1)
+				step(i+1, false)
+			}
+			if len(target) > 0 {
+				if first {
+					ds.into(target, own, src)
+				} else {
+					ds.acc(target, src)
+				}
+				rn.s.combineCharge(t, len(target), ds.dt.Size(), next)
+				return
+			}
+			next()
+		})
 	}
+	step(0, true)
 }
 
 // masterChunk runs the master's local-children combine for chunk k,
-// producing the node partial into target. It reports false when the master
-// has no local children (target untouched; the caller uses the master's
-// own send chunk as the partial).
-func (rn *redNode) masterChunk(p *sim.Proc, k int, target, own []byte, ds dataspec) bool {
+// producing the node partial into target. kont receives false when the
+// master has no local children (target untouched; the caller uses the
+// master's own send chunk as the partial).
+func (rn *redNode) masterChunk(t *sim.Task, k int, target, own []byte, ds dataspec, kont func(have bool)) {
 	kids := rn.tr.Children[rn.tr.Root]
 	if len(kids) == 0 {
-		return false
+		kont(false)
+		return
 	}
-	rn.combineChildren(p, k, kids, target, own, ds)
-	return true
+	rn.combineChildren(t, k, kids, target, own, ds, func() { kont(true) })
 }
 
 // barrierPub is the Sistare-style SMP broadcast the paper contrasts with
@@ -317,55 +405,77 @@ func (s *SRM) newBarrierPub(node, masterLocal, count, bufSize int) *barrierPub {
 	return pub
 }
 
-// barrier runs one flat SMP barrier among the node's tasks, master side.
-func (pub *barrierPub) barrierMaster(p *sim.Proc, gen int) {
-	for i := 0; i < pub.count; i++ {
-		if i == pub.masterLocal {
-			continue
+// barrierMaster runs one flat SMP barrier among the node's tasks, master
+// side.
+func (pub *barrierPub) barrierMaster(t *sim.Task, gen int, kont func()) {
+	var step func(i int)
+	step = func(i int) {
+		for i == pub.masterLocal {
+			i++
 		}
-		pub.checkin.Flag(i).WaitGE(p, gen)
+		if i >= pub.count {
+			pub.epoch.Set(gen)
+			kont()
+			return
+		}
+		pub.checkin.Flag(i).WaitGET(t, gen, func() { step(i + 1) })
 	}
-	pub.epoch.Set(gen)
+	step(0)
 }
 
 // barrierWorker is the non-master side of the same barrier.
-func (pub *barrierPub) barrierWorker(p *sim.Proc, local, gen int) {
+func (pub *barrierPub) barrierWorker(t *sim.Task, local, gen int, kont func()) {
 	pub.checkin.Flag(local).Set(gen)
-	pub.epoch.WaitGE(p, gen)
+	pub.epoch.WaitGET(t, gen, kont)
 }
 
-func (pub *barrierPub) Publish(p *sim.Proc, k int, src []byte, direct bool) {
+// Publish brackets the copy-in with two barriers: nobody may still be
+// reading this parity's buffer before it, and everyone may read after it.
+func (pub *barrierPub) Publish(t *sim.Task, k int, src []byte, direct bool, kont func()) {
 	if pub.count == 1 {
+		kont()
 		return
 	}
-	// Barrier #1: nobody may still be reading this parity's buffer.
-	pub.barrierMaster(p, 2*k+1)
-	parity := k % 2
-	if direct {
-		pub.cur[parity] = src
-	} else {
-		pub.s.m.Memcpy(p, pub.node, pub.buf[parity][:len(src)], src)
-		pub.cur[parity] = pub.buf[parity][:len(src)]
-	}
-	// Barrier #2: the buffer is full; everyone may read.
-	pub.barrierMaster(p, 2*k+2)
+	pub.barrierMaster(t, 2*k+1, func() {
+		parity := k % 2
+		fill := func() { pub.barrierMaster(t, 2*k+2, kont) }
+		if direct {
+			pub.cur[parity] = src
+			fill()
+			return
+		}
+		pub.s.m.MemcpyT(t, pub.node, pub.buf[parity][:len(src)], src, func() {
+			pub.cur[parity] = pub.buf[parity][:len(src)]
+			fill()
+		})
+	})
 }
 
-func (pub *barrierPub) Consume(p *sim.Proc, local, k int, dst []byte) {
-	pub.barrierWorker(p, local, 2*k+1)
-	pub.barrierWorker(p, local, 2*k+2)
-	if len(dst) > 0 {
-		pub.s.m.Memcpy(p, pub.node, dst, pub.cur[k%2][:len(dst)])
-	}
-	// Check in to the buffer-free barrier (generation 2k+3); the master
-	// collects it in the next Publish or in waitConsumed.
-	pub.checkin.Flag(local).Set(2*k + 3)
+// Consume passes both barriers, copies the chunk out, and checks in to the
+// buffer-free barrier (generation 2k+3) that the master collects in its
+// next Publish or in waitConsumed.
+func (pub *barrierPub) Consume(t *sim.Task, local, k int, dst []byte, kont func()) {
+	pub.barrierWorker(t, local, 2*k+1, func() {
+		pub.barrierWorker(t, local, 2*k+2, func() {
+			fin := func() {
+				pub.checkin.Flag(local).Set(2*k + 3)
+				kont()
+			}
+			if len(dst) > 0 {
+				pub.s.m.MemcpyT(t, pub.node, dst, pub.cur[k%2][:len(dst)], fin)
+				return
+			}
+			fin()
+		})
+	})
 }
 
-func (pub *barrierPub) waitConsumed(p *sim.Proc, k int) {
+// waitConsumed runs one more barrier, which guarantees all reads of chunk k
+// finished.
+func (pub *barrierPub) waitConsumed(t *sim.Task, k int, kont func()) {
 	if pub.count == 1 {
+		kont()
 		return
 	}
-	// One more barrier guarantees all reads of chunk k finished.
-	pub.barrierMaster(p, 2*k+3)
+	pub.barrierMaster(t, 2*k+3, kont)
 }

@@ -1,39 +1,41 @@
 package core
 
-import (
-	"srmcoll/internal/rma"
-	"srmcoll/internal/sim"
-)
+import "srmcoll/internal/sim"
 
-// Task-engine entry points for the SRM collectives. Each *T method is a
-// call-for-call continuation-passing transcription of its Proc counterpart:
-// the same resources are created in the same order, the same waits, sleeps,
-// copies, and counter updates happen at the same virtual instants, and the
-// same inline fast paths are taken — so a collective produces bit-identical
-// simulated time (and Stats) on either engine. The shared per-operation
-// state is reused via Group.acquire exactly as on the Proc path, which is
-// what keeps condition/counter creation order (and hence trace and wake
-// ordering) identical when engines are compared.
+// Every collective has exactly one body, written for the Task engine in
+// continuation-passing style. Task callers (TComm, the request streams)
+// call the *T entry points directly; goroutine Proc callers (Cluster.Run
+// SPMD bodies, the fault-tolerant and non-blocking wrappers, baselines and
+// experiments) call the Proc entry points, each a one-line bridge that runs
+// the same body through sim.Proc.Await. The bridge adds no event-loop
+// items, so a collective costs the same events, reaches the same virtual
+// instants and records the same Stats from either kind of caller.
 //
-// CPS conventions (see DESIGN.md §15): every *T function takes its
-// continuation k as the last parameter and must call it exactly once, as
-// the final action of whatever step completes the operation; loops become
-// tail-recursive step functions; Proc defers become either code in the
-// final continuation (normal completion) or unwind-stack entries (armed
-// only under fault-tolerant execution).
+// CPS conventions (see DESIGN.md §15): every body takes its continuation as
+// the last parameter and calls it exactly once, as the final action of the
+// step that completes the operation; loops become tail-recursive step
+// functions; state a goroutine would restore with defer is restored in the
+// final continuation and, for interrupted or killed callers, by an
+// unwind-stack entry (armed under fault-tolerant execution and always for
+// a Proc's hosted task).
 
-// combineChargeT is combineCharge for the Task engine.
-func (s *SRM) combineChargeT(t *sim.Task, n, elemSize int, k func()) {
+// opDone builds the final continuation of a collective entry: the op-state
+// release also rides the unwind stack, so an interrupted operation still
+// retires its entry.
+func opDone(t *sim.Task, release, kont func()) func() {
+	t.PushUnwind(release)
+	return func() {
+		t.PopUnwind()
+		release()
+		kont()
+	}
+}
+
+// combineCharge charges the cost of one elementwise combine over n bytes,
+// then runs k.
+func (s *SRM) combineCharge(t *sim.Task, n, elemSize int, k func()) {
 	t.SleepThen(s.m.CombineTime(n), func() {
 		s.m.Stats.AddReduce(n / max(1, elemSize))
 		k()
 	})
-}
-
-// quietNetT is quietNet for the Task engine: it disables interrupts at a
-// master endpoint for a small-message operation and returns the re-enable
-// function, which the caller must invoke in the operation's final
-// continuation (where the Proc path defers it).
-func (s *SRM) quietNetT(ep *rma.Endpoint, size int) func() {
-	return s.quietNet(ep, size)
 }

@@ -70,16 +70,6 @@ func (c *Counter) DescribeWait(want int) string {
 	return fmt.Sprintf("rma counter %s: value %d, want >= %d", c.cond.ID(), c.val, want)
 }
 
-// WaitValue blocks until the counter reaches v and subtracts v, like
-// Endpoint.Waitcntr but without touching any endpoint's dispatcher state.
-// Helper processes that share a task's endpoint (e.g. the broadcast side
-// of the fused allreduce pipeline) use it so the main process's RMA-call
-// bookkeeping stays consistent.
-func (c *Counter) WaitValue(p *sim.Proc, v int) {
-	c.waitGE(p, v)
-	c.val -= v
-}
-
 // Endpoint is one task's attachment to the RMA layer.
 type Endpoint struct {
 	dom        *Domain
@@ -184,10 +174,6 @@ func (ep *Endpoint) Waitcntr(p *sim.Proc, c *Counter, v int) {
 	c.waitGE(p, v)
 	c.val -= v
 }
-
-// Probe gives the dispatcher one progress opportunity without blocking
-// (the equivalent of calling into LAPI without waiting).
-func (ep *Endpoint) Probe(p *sim.Proc) { ep.drainPending(p) }
 
 // deliver routes an arrived message according to the interrupt/progress
 // rules. fn performs the actual data movement and counter updates. Injected
@@ -353,7 +339,11 @@ func (c *Counter) waitGET(t *sim.Task, v int, k func()) {
 	})
 }
 
-// WaitValueT is WaitValue for the Task engine.
+// WaitValueT waits until the counter reaches v, subtracts v and runs k,
+// like Endpoint.WaitcntrT but without touching any endpoint's dispatcher
+// state. Helper tasks that share a task's endpoint (e.g. the broadcast side
+// of the fused allreduce pipeline) use it so the main task's RMA-call
+// bookkeeping stays consistent.
 func (c *Counter) WaitValueT(t *sim.Task, v int, k func()) {
 	c.waitGET(t, v, func() {
 		c.val -= v
@@ -498,7 +488,8 @@ func (ep *Endpoint) WaitcntrT(t *sim.Task, c *Counter, v int, k func()) {
 	ep.drainPendingT(t, fr.afterDrainFn)
 }
 
-// ProbeT is Probe for the Task engine.
+// ProbeT gives the dispatcher one progress opportunity without blocking
+// (the equivalent of calling into LAPI without waiting), then runs k.
 func (ep *Endpoint) ProbeT(t *sim.Task, k func()) { ep.drainPendingT(t, k) }
 
 // putFrame is the pooled continuation frame for PutT: the post-overhead
@@ -588,32 +579,11 @@ func (ep *Endpoint) PutZeroT(t *sim.Task, target *Endpoint, tgt *Counter, k func
 	ep.PutT(t, target, nil, nil, nil, tgt, nil, k)
 }
 
-// AM sends an active message: handler runs at the target on arrival (after
-// the header-handler cost), following the same delivery rules as Put. The
-// payload is passed to the handler by reference; handlers must copy what
-// they keep.
-func (ep *Endpoint) AM(p *sim.Proc, target *Endpoint, payload []byte, handler func([]byte)) {
-	m := ep.dom.m
-	m.Stats.ActiveMsgs++
-	p.Sleep(m.Cfg.SendOverhead)
-
-	if target.Node == ep.Node {
-		p.Sleep(m.Cfg.AMHandlerCost)
-		handler(payload)
-		return
-	}
-	_, arrival := m.NetInjectTo(ep.Node, target.Node, len(payload))
-	m.Env.At(arrival, func() {
-		target.deliver(-1, -1, func() {
-			m.Env.After(m.Cfg.AMHandlerCost, func() { handler(payload) })
-		})
-	})
-}
-
-// AMT is AM for the Task engine: k runs once the origin CPU has paid the
-// send overhead (plus, for an intra-node message, the handler cost — the
-// point at which AM would have returned to the calling process). The
-// handler itself runs at the target under the shared delivery rules.
+// AMT sends an active message: handler runs at the target on arrival
+// (after the header-handler cost), following the same delivery rules as
+// Put. The payload is passed to the handler by reference; handlers must
+// copy what they keep. k runs once the origin CPU has paid the send
+// overhead (plus, for an intra-node message, the handler cost).
 func (ep *Endpoint) AMT(t *sim.Task, target *Endpoint, payload []byte, handler func([]byte), k func()) {
 	m := ep.dom.m
 	m.Stats.ActiveMsgs++

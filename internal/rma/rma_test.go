@@ -212,7 +212,7 @@ func TestProbeDrainsDeferred(t *testing.T) {
 	})
 	env.Spawn("recv", func(p *sim.Proc) {
 		p.Sleep(300)
-		d.Endpoint(1).Probe(p)
+		d.Endpoint(1).probe(p)
 		if tgt.Value() != 1 {
 			t.Errorf("counter after Probe = %d, want 1", tgt.Value())
 		}
@@ -272,8 +272,10 @@ func TestAMRunsHandlerWithPayload(t *testing.T) {
 	env, m, d := twoNodes(1)
 	var got []byte
 	env.Spawn("send", func(p *sim.Proc) {
-		d.Endpoint(0).AM(p, d.Endpoint(1), []byte("hdr"), func(b []byte) {
-			got = append([]byte(nil), b...)
+		p.Await(func(t *sim.Task, k func()) {
+			d.Endpoint(0).AMT(t, d.Endpoint(1), []byte("hdr"), func(b []byte) {
+				got = append([]byte(nil), b...)
+			}, k)
 		})
 	})
 	env.Spawn("recv", func(p *sim.Proc) {
@@ -295,7 +297,9 @@ func TestAMLoopback(t *testing.T) {
 	env, _, d := twoNodes(2)
 	ran := false
 	env.Spawn("send", func(p *sim.Proc) {
-		d.Endpoint(0).AM(p, d.Endpoint(1), nil, func([]byte) { ran = true })
+		p.Await(func(t *sim.Task, k func()) {
+			d.Endpoint(0).AMT(t, d.Endpoint(1), nil, func([]byte) { ran = true }, k)
+		})
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -604,4 +608,9 @@ func TestPropRmwAtomicity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// probe runs ProbeT on behalf of a Proc.
+func (ep *Endpoint) probe(p *sim.Proc) {
+	p.Await(func(t *sim.Task, k func()) { ep.ProbeT(t, k) })
 }

@@ -223,26 +223,9 @@ func (fs *FlagSet) SetAll(v int) {
 	}
 }
 
-// WaitAll spins until every flag except those listed in skip equals v.
-// The master uses it to wait for all other tasks to check in.
-func (fs *FlagSet) WaitAll(p *sim.Proc, v int, skip ...int) {
-	for i, f := range fs.flags {
-		sk := false
-		for _, s := range skip {
-			if s == i {
-				sk = true
-				break
-			}
-		}
-		if sk {
-			continue
-		}
-		f.WaitFor(p, v)
-	}
-}
-
-// WaitAllT is WaitAll for the Task engine: the flags are awaited one at a
-// time in index order, exactly as the Proc loop does, then k runs.
+// WaitAllT spins until every flag except those listed in skip equals v,
+// then runs k; the flags are awaited one at a time in index order. The
+// master uses it to wait for all other tasks to check in.
 func (fs *FlagSet) WaitAllT(t *sim.Task, v int, k func(), skip ...int) {
 	var step func(i int)
 	step = func(i int) {

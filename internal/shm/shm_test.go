@@ -135,7 +135,7 @@ func TestFlagSetWaitsAll(t *testing.T) {
 	fs := NewFlagSet(m, 0, 4)
 	var done sim.Time
 	env.Spawn("master", func(p *sim.Proc) {
-		fs.WaitAll(p, 1, 0) // skip own slot 0
+		p.Await(func(t *sim.Task, k func()) { fs.WaitAllT(t, 1, k, 0) }) // skip own slot 0
 		done = p.Now()
 		fs.SetAll(0)
 	})

@@ -179,6 +179,16 @@ type Proc struct {
 	intr   any     // pending interrupt payload, panicked at next resume
 	slow   float64 // Sleep stretch factor (stall windows); 0 or 1 = none
 
+	// Await bridge state (await.go): the hosted task bodies run on, the
+	// continuation handed to them (bound once), whether the current body
+	// has completed, whether the Proc is blocked waiting for it, and a
+	// panic from a hosted step waiting to be raised on this stack.
+	host      *Task
+	awaitK    func()
+	awaitDone bool
+	awaiting  bool
+	hostPanic any
+
 	// Wait context, set while the process is parked with no scheduled
 	// wake-up (Event/Cond/Resource waits). Used by stall reports; nothing
 	// here is formatted unless a report is actually built.
@@ -285,9 +295,11 @@ func (e *Env) Kill(p *Proc, reason string) {
 	p.killed = reason
 	if e.parked[p] {
 		e.unblock(p) // deliver the crash now instead of never
+	} else {
+		e.deliverHosted(p)
 	}
-	// Otherwise the process is sleeping (or not yet started) and its
-	// queued wake-up delivers the crash.
+	// Otherwise the process (or the task it awaits) is sleeping, or not yet
+	// started, and its queued wake-up delivers the crash.
 }
 
 // Interrupt delivers an asynchronous interrupt to p: the process panics
@@ -310,14 +322,17 @@ func (e *Env) Interrupt(p *Proc, payload any) {
 			p.waitOn.dropWaiter(p)
 		}
 		e.unblock(p)
+	} else {
+		e.deliverHosted(p)
 	}
-	// Otherwise the process is sleeping (or running to its next park) and
-	// its next resume delivers the interrupt.
+	// Otherwise the process (or the task it awaits) is sleeping, or running
+	// to its next park, and its next resume delivers the interrupt.
 }
 
 // SetSlowdown stretches p's subsequent Sleep durations by factor, modeling
-// a task that lost its CPU (stall windows in fault plans). Factor 0 or 1
-// clears the stall. Called from event callbacks, not from p's goroutine.
+// a task that lost its CPU (stall windows in fault plans); the sleeps of a
+// body p runs through Await stretch too. Factor 0 or 1 clears the stall.
+// Called from event callbacks, not from p's goroutine.
 func (e *Env) SetSlowdown(p *Proc, factor float64) {
 	if factor < 0 {
 		factor = 0

@@ -8,7 +8,8 @@ import "strconv"
 // and suspending it is a pointer store. Protocol hot loops (RMA put/ack,
 // SMP flag synchronization, request streams) run as Tasks so simulations
 // scale to tens of thousands of ranks; user compute callbacks and the
-// chaos/fault-tolerance paths keep the Proc API.
+// chaos/fault-tolerance paths keep the Proc API and run Task protocol
+// bodies through Proc.Await (await.go).
 //
 // A Task is written in continuation-passing style. Each step runs to
 // completion inside the event loop and must end in exactly one of three
@@ -57,14 +58,20 @@ type Task struct {
 	predWant int
 	retryFn  func()
 
-	// Unwind stack, armed only inside fault-sensitive operations: blocking
-	// primitives that would restore state via defer on the Proc engine
-	// (dispatcher inCall, spinner counts, open trace spans) push a
-	// compensation here instead, and an interrupt or failure delivery runs
-	// the stack LIFO. Disarmed (the default), Push/Pop are no-ops so the
-	// fault-free hot paths pay a single bool check.
+	// Unwind stack, armed inside fault-sensitive operations and always on
+	// a Proc's hosted task: blocking primitives that would restore state
+	// via defer on the Proc engine (dispatcher inCall, spinner counts, open
+	// trace spans) push a compensation here instead, and an interrupt or
+	// failure delivery runs the stack LIFO. Disarmed (the default for
+	// spawned tasks), Push/Pop are no-ops so the fault-free hot paths pay a
+	// single bool check.
 	unwinds     []func()
 	unwindArmed bool
+
+	// host is the Proc this task runs bodies for via Proc.Await (nil for
+	// spawned tasks). A hosted task takes its name, stall stretch, and kill
+	// and interrupt deliveries from the host, and is not counted in Live.
+	host *Proc
 }
 
 // taskParkable is a synchronization resource a Task can park on — the Task
@@ -109,6 +116,9 @@ func (t *Task) Num() int { return t.num }
 
 // Name returns the task's name, formatted on first use like Proc.Name.
 func (t *Task) Name() string {
+	if t.host != nil {
+		return t.host.Name()
+	}
 	if t.name == "" {
 		if t.num < 0 {
 			t.name = t.prefix
@@ -123,10 +133,14 @@ func (t *Task) Name() string {
 func (t *Task) Done() bool { return t.done }
 
 // SleepThen suspends the task for d virtual time (negative counts as zero)
-// and resumes with k. Must be the final action of the current step.
+// and resumes with k. Must be the final action of the current step. A
+// hosted task's sleeps stretch with its host's slowdown (Env.SetSlowdown).
 func (t *Task) SleepThen(d Time, k func()) {
 	if d < 0 {
 		d = 0
+	}
+	if h := t.host; h != nil && h.slow > 1 {
+		d *= h.slow
 	}
 	t.k = k
 	t.env.pushTask(t.env.now+d, t)
@@ -177,9 +191,6 @@ func (e *Env) KillTask(t *Task, reason string) {
 	}
 	t.killed = reason
 	if t.parked {
-		if t.waitOn != nil {
-			t.waitOn.dropTaskWaiter(t)
-		}
 		e.unparkForDelivery(t)
 	}
 	// Otherwise the task is sleeping (or starting) and its queued resume
@@ -199,23 +210,30 @@ func (e *Env) InterruptTask(t *Task, payload any) {
 	}
 	t.intr = payload
 	if t.parked {
-		if t.waitOn != nil {
-			t.waitOn.dropTaskWaiter(t)
-		}
 		e.unparkForDelivery(t)
 	}
 	// Otherwise the task is sleeping (or running to its next park) and its
 	// next resume delivers the interrupt.
 }
 
-// unparkForDelivery clears a task's park state and schedules it so a
-// pending kill or interrupt is delivered by runTask.
+// unparkForDelivery cuts a parked task loose and schedules it so a pending
+// kill or interrupt is delivered by runTask.
 func (e *Env) unparkForDelivery(t *Task) {
+	e.leaveWait(t)
+	e.pushTask(e.now, t)
+}
+
+// leaveWait removes a parked task from the waiter list of the resource it
+// parked on and from the parked set, without resuming it, so the resource
+// is not left with a stale entry.
+func (e *Env) leaveWait(t *Task) {
+	if t.waitOn != nil {
+		t.waitOn.dropTaskWaiter(t)
+	}
 	t.parked = false
 	t.waitOn = nil
 	t.waitObj = nil
 	delete(e.tparked, t)
-	e.pushTask(e.now, t)
 }
 
 // runTask resumes a task from the event loop: it delivers any pending kill
@@ -223,6 +241,10 @@ func (e *Env) unparkForDelivery(t *Task) {
 func (e *Env) runTask(t *Task) {
 	if t.done {
 		return // stale resume of a task torn down by a failure
+	}
+	if t.host != nil {
+		e.runHosted(t)
+		return
 	}
 	if t.killed != "" {
 		t.k = nil
@@ -290,13 +312,7 @@ func (e *Env) failTask(t *Task, cause any) {
 		return
 	}
 	if t.parked {
-		if t.waitOn != nil {
-			t.waitOn.dropTaskWaiter(t)
-		}
-		t.parked = false
-		t.waitOn = nil
-		t.waitObj = nil
-		delete(e.tparked, t)
+		e.leaveWait(t)
 	}
 	if t.unwindArmed {
 		// Restore protocol state the dead task was holding (dispatcher

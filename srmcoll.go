@@ -307,6 +307,20 @@ func (cl *Cluster) SetTuning(t *TuneTable) { cl.tuned = t }
 // Tuning returns the cluster's current decision table (nil when disabled).
 func (cl *Cluster) Tuning() *TuneTable { return cl.tuned }
 
+// coreOptions builds the SRM engine options for the cluster's variant and
+// tuning.
+func (cl *Cluster) coreOptions() core.Options {
+	return core.Options{
+		InterTree:      cl.variant.InterTree,
+		TreeSMPBcst:    cl.variant.TreeSMPBcst,
+		BarrierSMPBcst: cl.variant.BarrierSMPBcst,
+		KeepInterrupts: cl.variant.KeepInterrupts,
+		TreeFor:        cl.treeFor(),
+		AllreduceAlg:   cl.variant.Allreduce,
+		AlgFor:         cl.algFor(),
+	}
+}
+
 // treeFor resolves the tuned per-operation tree selector for this cluster,
 // or nil when the static Variant.InterTree applies: tuning is enabled, the
 // variant does not override the tree, and the table covers this topology.
@@ -448,8 +462,10 @@ type Comm struct {
 	rs       *runState    // per-Run request streams and sub-comm cache
 }
 
-// collectives is the operation set shared by SRM and the baselines.
-type collectives interface {
+// collOps is the operation set shared by SRM and the baselines. A
+// *core.Group, a *baseline.Coll and a *baseline.Group each implement it
+// directly.
+type collOps interface {
 	Barrier(p *sim.Proc, rank int)
 	Bcast(p *sim.Proc, rank int, buf []byte, root int)
 	Reduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op, root int)
@@ -461,155 +477,28 @@ type collectives interface {
 	ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op)
 	Scan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op)
 	Exscan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op)
-	Subgroup(members []int) collectives
 }
 
-type srmAdapter struct{ s *core.SRM }
-
-func (a srmAdapter) Barrier(p *sim.Proc, rank int) { a.s.Barrier(p, rank) }
-func (a srmAdapter) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	a.s.Bcast(p, rank, buf, root)
-}
-func (a srmAdapter) Reduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op, root int) {
-	a.s.Reduce(p, rank, send, recv, dt, op, root)
-}
-func (a srmAdapter) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.s.Allreduce(p, rank, send, recv, dt, op)
-}
-func (a srmAdapter) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	a.s.Gather(p, rank, send, recv, root)
-}
-func (a srmAdapter) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	a.s.Scatter(p, rank, send, recv, root)
-}
-func (a srmAdapter) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	a.s.Allgather(p, rank, send, recv)
-}
-func (a srmAdapter) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	a.s.Alltoall(p, rank, send, recv)
-}
-func (a srmAdapter) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.s.ReduceScatter(p, rank, send, recv, dt, op)
-}
-func (a srmAdapter) Scan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.s.Scan(p, rank, send, recv, dt, op)
-}
-func (a srmAdapter) Exscan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.s.Exscan(p, rank, send, recv, dt, op)
-}
-func (a srmAdapter) Subgroup(members []int) collectives {
-	return srmGroupAdapter{a.s.Group(members)}
+// collectives is a communicator's collective implementation: the
+// operations over its members, and how to build a sub-communicator's.
+type collectives struct {
+	collOps
+	sub func(members []int) collectives
 }
 
-type srmGroupAdapter struct{ g *core.Group }
-
-func (a srmGroupAdapter) Barrier(p *sim.Proc, rank int) { a.g.Barrier(p, rank) }
-func (a srmGroupAdapter) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	a.g.Bcast(p, rank, buf, root)
-}
-func (a srmGroupAdapter) Reduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op, root int) {
-	a.g.Reduce(p, rank, send, recv, dt, op, root)
-}
-func (a srmGroupAdapter) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.g.Allreduce(p, rank, send, recv, dt, op)
-}
-func (a srmGroupAdapter) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	a.g.Gather(p, rank, send, recv, root)
-}
-func (a srmGroupAdapter) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	a.g.Scatter(p, rank, send, recv, root)
-}
-func (a srmGroupAdapter) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	a.g.Allgather(p, rank, send, recv)
-}
-func (a srmGroupAdapter) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	a.g.Alltoall(p, rank, send, recv)
-}
-func (a srmGroupAdapter) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.g.ReduceScatter(p, rank, send, recv, dt, op)
-}
-func (a srmGroupAdapter) Scan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.g.Scan(p, rank, send, recv, dt, op)
-}
-func (a srmGroupAdapter) Exscan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.g.Exscan(p, rank, send, recv, dt, op)
-}
-func (a srmGroupAdapter) Subgroup(members []int) collectives {
-	return srmGroupAdapter{a.g.Sub(members)}
+// srmColl runs a communicator's collectives on an SRM group.
+func srmColl(g *core.Group) collectives {
+	return collectives{g, func(members []int) collectives { return srmColl(g.Sub(members)) }}
 }
 
-type baselineAdapter struct{ c *baseline.Coll }
-
-func (a baselineAdapter) Barrier(p *sim.Proc, rank int) { a.c.Barrier(p, rank) }
-func (a baselineAdapter) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	a.c.Bcast(p, rank, buf, root)
-}
-func (a baselineAdapter) Reduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op, root int) {
-	a.c.Reduce(p, rank, send, recv, dt, op, root)
-}
-func (a baselineAdapter) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.c.Allreduce(p, rank, send, recv, dt, op)
-}
-func (a baselineAdapter) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	a.c.Gather(p, rank, send, recv, root)
-}
-func (a baselineAdapter) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	a.c.Scatter(p, rank, send, recv, root)
-}
-func (a baselineAdapter) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	a.c.Allgather(p, rank, send, recv)
-}
-func (a baselineAdapter) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	a.c.Alltoall(p, rank, send, recv)
-}
-func (a baselineAdapter) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.c.ReduceScatter(p, rank, send, recv, dt, op)
-}
-func (a baselineAdapter) Scan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.c.Scan(p, rank, send, recv, dt, op)
-}
-func (a baselineAdapter) Exscan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.c.Exscan(p, rank, send, recv, dt, op)
-}
-func (a baselineAdapter) Subgroup(members []int) collectives {
-	return baselineGroupAdapter{a.c.Group(members)}
-}
-
-type baselineGroupAdapter struct{ g *baseline.Group }
-
-func (a baselineGroupAdapter) Barrier(p *sim.Proc, rank int) { a.g.Barrier(p, rank) }
-func (a baselineGroupAdapter) Bcast(p *sim.Proc, rank int, buf []byte, root int) {
-	a.g.Bcast(p, rank, buf, root)
-}
-func (a baselineGroupAdapter) Reduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op, root int) {
-	a.g.Reduce(p, rank, send, recv, dt, op, root)
-}
-func (a baselineGroupAdapter) Allreduce(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.g.Allreduce(p, rank, send, recv, dt, op)
-}
-func (a baselineGroupAdapter) Gather(p *sim.Proc, rank int, send, recv []byte, root int) {
-	a.g.Gather(p, rank, send, recv, root)
-}
-func (a baselineGroupAdapter) Scatter(p *sim.Proc, rank int, send, recv []byte, root int) {
-	a.g.Scatter(p, rank, send, recv, root)
-}
-func (a baselineGroupAdapter) Allgather(p *sim.Proc, rank int, send, recv []byte) {
-	a.g.Allgather(p, rank, send, recv)
-}
-func (a baselineGroupAdapter) Alltoall(p *sim.Proc, rank int, send, recv []byte) {
-	a.g.Alltoall(p, rank, send, recv)
-}
-func (a baselineGroupAdapter) ReduceScatter(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.g.ReduceScatter(p, rank, send, recv, dt, op)
-}
-func (a baselineGroupAdapter) Scan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.g.Scan(p, rank, send, recv, dt, op)
-}
-func (a baselineGroupAdapter) Exscan(p *sim.Proc, rank int, send, recv []byte, dt Datatype, op Op) {
-	a.g.Exscan(p, rank, send, recv, dt, op)
-}
-func (a baselineGroupAdapter) Subgroup(members []int) collectives {
-	return baselineGroupAdapter{a.g.Sub(members)}
+// baselineColl runs a communicator's collectives on an MPI baseline: the
+// world-level algorithms for the world, baseline groups below it.
+func baselineColl(c *baseline.Coll) collectives {
+	var group func(g *baseline.Group) collectives
+	group = func(g *baseline.Group) collectives {
+		return collectives{g, func(members []int) collectives { return group(g.Sub(members)) }}
+	}
+	return collectives{c, func(members []int) collectives { return group(c.Group(members)) }}
 }
 
 // Sub returns a communicator over the given subset of global ranks — the
@@ -632,7 +521,7 @@ func (c *Comm) Sub(members []int) *Comm {
 		m:        c.m,
 		dom:      c.dom,
 		counters: c.counters,
-		coll:     c.coll.Subgroup(members),
+		coll:     c.coll.sub(members),
 		tr:       c.tr,
 		rs:       c.rs,
 	}
@@ -883,19 +772,11 @@ func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
 	var coll collectives
 	switch impl {
 	case SRM:
-		coll = srmAdapter{core.New(m, dom, core.Options{
-			InterTree:      cl.variant.InterTree,
-			TreeSMPBcst:    cl.variant.TreeSMPBcst,
-			BarrierSMPBcst: cl.variant.BarrierSMPBcst,
-			KeepInterrupts: cl.variant.KeepInterrupts,
-			TreeFor:        cl.treeFor(),
-			AllreduceAlg:   cl.variant.Allreduce,
-			AlgFor:         cl.algFor(),
-		})}
+		coll = srmColl(core.New(m, dom, cl.coreOptions()).World())
 	case IBMMPI:
-		coll = baselineAdapter{baseline.New(m, baseline.IBM)}
+		coll = baselineColl(baseline.New(m, baseline.IBM))
 	case MPICHMPI:
-		coll = baselineAdapter{baseline.New(m, baseline.MPICH)}
+		coll = baselineColl(baseline.New(m, baseline.MPICH))
 	default:
 		return nil, fmt.Errorf("srmcoll: unknown implementation %d", int(impl))
 	}

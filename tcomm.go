@@ -9,10 +9,11 @@ package srmcoll
 //
 // The same body runs on either engine. Under EngineProcs every TComm
 // method delegates to the blocking Comm call and invokes its continuation
-// synchronously before returning, so RunT(EngineProcs) is the goroutine
-// reference; under EngineTasks the methods dispatch to the Task-native
-// collective ports in internal/core. The two engines are bit-identical:
-// same Result.Time, PerRank, Stats, buffer contents, and trace timings.
+// synchronously before returning; under EngineTasks the methods call the
+// collective bodies in internal/core directly. Both reach the same
+// bodies — a Comm call runs them through the zero-item sim.Proc.Await
+// bridge — so the two engines are bit-identical: same Result.Time,
+// PerRank, Stats, Events, buffer contents, and trace timings.
 
 import (
 	"errors"
@@ -63,99 +64,9 @@ func (cl *Cluster) Engine() Engine { return cl.engine }
 // completes (synchronously under EngineProcs, as a later event-loop step
 // under EngineTasks). Identity accessors (Rank, Size, ...) are plain calls.
 type TComm struct {
-	c     *Comm
-	t     *sim.Task    // nil under EngineProcs
-	tcoll tcollectives // nil under EngineProcs
-}
-
-// tcollectives is the Task-native operation set mirroring collectives.
-type tcollectives interface {
-	BarrierT(t *sim.Task, rank int, k func())
-	BcastT(t *sim.Task, rank int, buf []byte, root int, k func())
-	ReduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, root int, k func())
-	AllreduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
-	GatherT(t *sim.Task, rank int, send, recv []byte, root int, k func())
-	ScatterT(t *sim.Task, rank int, send, recv []byte, root int, k func())
-	AllgatherT(t *sim.Task, rank int, send, recv []byte, k func())
-	AlltoallT(t *sim.Task, rank int, send, recv []byte, k func())
-	ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
-	ScanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
-	ExscanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func())
-	SubgroupT(members []int) tcollectives
-}
-
-type srmTAdapter struct{ s *core.SRM }
-
-func (a srmTAdapter) BarrierT(t *sim.Task, rank int, k func()) { a.s.BarrierT(t, rank, k) }
-func (a srmTAdapter) BcastT(t *sim.Task, rank int, buf []byte, root int, k func()) {
-	a.s.BcastT(t, rank, buf, root, k)
-}
-func (a srmTAdapter) ReduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, root int, k func()) {
-	a.s.ReduceT(t, rank, send, recv, dt, op, root, k)
-}
-func (a srmTAdapter) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.s.AllreduceT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTAdapter) GatherT(t *sim.Task, rank int, send, recv []byte, root int, k func()) {
-	a.s.GatherT(t, rank, send, recv, root, k)
-}
-func (a srmTAdapter) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, k func()) {
-	a.s.ScatterT(t, rank, send, recv, root, k)
-}
-func (a srmTAdapter) AllgatherT(t *sim.Task, rank int, send, recv []byte, k func()) {
-	a.s.AllgatherT(t, rank, send, recv, k)
-}
-func (a srmTAdapter) AlltoallT(t *sim.Task, rank int, send, recv []byte, k func()) {
-	a.s.AlltoallT(t, rank, send, recv, k)
-}
-func (a srmTAdapter) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.s.ReduceScatterT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTAdapter) ScanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.s.ScanT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTAdapter) ExscanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.s.ExscanT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTAdapter) SubgroupT(members []int) tcollectives {
-	return srmTGroupAdapter{a.s.Group(members)}
-}
-
-type srmTGroupAdapter struct{ g *core.Group }
-
-func (a srmTGroupAdapter) BarrierT(t *sim.Task, rank int, k func()) { a.g.BarrierT(t, rank, k) }
-func (a srmTGroupAdapter) BcastT(t *sim.Task, rank int, buf []byte, root int, k func()) {
-	a.g.BcastT(t, rank, buf, root, k)
-}
-func (a srmTGroupAdapter) ReduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, root int, k func()) {
-	a.g.ReduceT(t, rank, send, recv, dt, op, root, k)
-}
-func (a srmTGroupAdapter) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.g.AllreduceT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTGroupAdapter) GatherT(t *sim.Task, rank int, send, recv []byte, root int, k func()) {
-	a.g.GatherT(t, rank, send, recv, root, k)
-}
-func (a srmTGroupAdapter) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, k func()) {
-	a.g.ScatterT(t, rank, send, recv, root, k)
-}
-func (a srmTGroupAdapter) AllgatherT(t *sim.Task, rank int, send, recv []byte, k func()) {
-	a.g.AllgatherT(t, rank, send, recv, k)
-}
-func (a srmTGroupAdapter) AlltoallT(t *sim.Task, rank int, send, recv []byte, k func()) {
-	a.g.AlltoallT(t, rank, send, recv, k)
-}
-func (a srmTGroupAdapter) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.g.ReduceScatterT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTGroupAdapter) ScanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.g.ScanT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTGroupAdapter) ExscanT(t *sim.Task, rank int, send, recv []byte, dt Datatype, op Op, k func()) {
-	a.g.ExscanT(t, rank, send, recv, dt, op, k)
-}
-func (a srmTGroupAdapter) SubgroupT(members []int) tcollectives {
-	return srmTGroupAdapter{a.g.Sub(members)}
+	c *Comm
+	t *sim.Task   // nil under EngineProcs
+	g *core.Group // the communicator's SRM group; nil under EngineProcs
 }
 
 // Rank returns this task's global rank.
@@ -215,7 +126,7 @@ func (tc *TComm) Sub(members []int) *TComm {
 		tr:       c.tr,
 		rs:       c.rs,
 	}
-	s := &TComm{c: sub, t: tc.t, tcoll: tc.tcoll.SubgroupT(members)}
+	s := &TComm{c: sub, t: tc.t, g: tc.g.Sub(members)}
 	c.rs.tsubs[key] = s
 	return s
 }
@@ -256,7 +167,7 @@ func (tc *TComm) Barrier(k func(error)) {
 		return
 	}
 	tc.opT("barrier", 0, func(t *sim.Task, fin func()) {
-		tc.tcoll.BarrierT(t, tc.c.rank, fin)
+		tc.g.BarrierT(t, tc.c.rank, fin)
 	}, k)
 }
 
@@ -267,7 +178,7 @@ func (tc *TComm) Bcast(buf []byte, root int, k func(error)) {
 		return
 	}
 	tc.opT("bcast", int64(len(buf)), func(t *sim.Task, fin func()) {
-		tc.tcoll.BcastT(t, tc.c.rank, buf, root, fin)
+		tc.g.BcastT(t, tc.c.rank, buf, root, fin)
 	}, k)
 }
 
@@ -278,7 +189,7 @@ func (tc *TComm) Reduce(send, recv []byte, dt Datatype, op Op, root int, k func(
 		return
 	}
 	tc.opT("reduce", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ReduceT(t, tc.c.rank, send, recv, dt, op, root, fin)
+		tc.g.ReduceT(t, tc.c.rank, send, recv, dt, op, root, fin)
 	}, k)
 }
 
@@ -289,7 +200,7 @@ func (tc *TComm) Allreduce(send, recv []byte, dt Datatype, op Op, k func(error))
 		return
 	}
 	tc.opT("allreduce", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.AllreduceT(t, tc.c.rank, send, recv, dt, op, fin)
+		tc.g.AllreduceT(t, tc.c.rank, send, recv, dt, op, fin)
 	}, k)
 }
 
@@ -300,7 +211,7 @@ func (tc *TComm) Gather(send, recv []byte, root int, k func(error)) {
 		return
 	}
 	tc.opT("gather", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.GatherT(t, tc.c.rank, send, recv, root, fin)
+		tc.g.GatherT(t, tc.c.rank, send, recv, root, fin)
 	}, k)
 }
 
@@ -311,7 +222,7 @@ func (tc *TComm) Scatter(send, recv []byte, root int, k func(error)) {
 		return
 	}
 	tc.opT("scatter", int64(len(recv)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ScatterT(t, tc.c.rank, send, recv, root, fin)
+		tc.g.ScatterT(t, tc.c.rank, send, recv, root, fin)
 	}, k)
 }
 
@@ -322,7 +233,7 @@ func (tc *TComm) Allgather(send, recv []byte, k func(error)) {
 		return
 	}
 	tc.opT("allgather", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.AllgatherT(t, tc.c.rank, send, recv, fin)
+		tc.g.AllgatherT(t, tc.c.rank, send, recv, fin)
 	}, k)
 }
 
@@ -333,7 +244,7 @@ func (tc *TComm) Alltoall(send, recv []byte, k func(error)) {
 		return
 	}
 	tc.opT("alltoall", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.AlltoallT(t, tc.c.rank, send, recv, fin)
+		tc.g.AlltoallT(t, tc.c.rank, send, recv, fin)
 	}, k)
 }
 
@@ -344,7 +255,7 @@ func (tc *TComm) ReduceScatter(send, recv []byte, dt Datatype, op Op, k func(err
 		return
 	}
 	tc.opT("reducescatter", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ReduceScatterT(t, tc.c.rank, send, recv, dt, op, fin)
+		tc.g.ReduceScatterT(t, tc.c.rank, send, recv, dt, op, fin)
 	}, k)
 }
 
@@ -355,7 +266,7 @@ func (tc *TComm) Scan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 		return
 	}
 	tc.opT("scan", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ScanT(t, tc.c.rank, send, recv, dt, op, fin)
+		tc.g.ScanT(t, tc.c.rank, send, recv, dt, op, fin)
 	}, k)
 }
 
@@ -366,7 +277,7 @@ func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 		return
 	}
 	tc.opT("exscan", int64(len(send)), func(t *sim.Task, fin func()) {
-		tc.tcoll.ExscanT(t, tc.c.rank, send, recv, dt, op, fin)
+		tc.g.ExscanT(t, tc.c.rank, send, recv, dt, op, fin)
 	}, k)
 }
 
@@ -404,15 +315,7 @@ func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, 
 	if cl.faults.Reliable {
 		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
 	}
-	tcoll := tcollectives(srmTAdapter{core.New(m, dom, core.Options{
-		InterTree:      cl.variant.InterTree,
-		TreeSMPBcst:    cl.variant.TreeSMPBcst,
-		BarrierSMPBcst: cl.variant.BarrierSMPBcst,
-		KeepInterrupts: cl.variant.KeepInterrupts,
-		TreeFor:        cl.treeFor(),
-		AllreduceAlg:   cl.variant.Allreduce,
-		AlgFor:         cl.algFor(),
-	})})
+	world := core.New(m, dom, cl.coreOptions()).World()
 	if cl.tracing {
 		env.Trace = trace.New(env.Now)
 	}
@@ -435,7 +338,7 @@ func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, 
 		tasks[r] = env.SpawnTask("rank", r, func(t *sim.Task) {
 			comm := &Comm{rank: r, size: m.P(), m: m, dom: dom,
 				counters: counters, tr: env.Trace, rs: rs}
-			tc := &TComm{c: comm, t: t, tcoll: tcoll}
+			tc := &TComm{c: comm, t: t, g: world}
 			body(tc, func() {
 				comm.checkDrained()
 				res.PerRank[r] = float64(env.Now())

@@ -45,6 +45,9 @@ func runBothEngines(t *testing.T, cl *Cluster, impl Impl,
 	if rp.Faults != rt.Faults {
 		t.Errorf("Faults: procs %+v, tasks %+v", rp.Faults, rt.Faults)
 	}
+	if rp.Events != rt.Events {
+		t.Errorf("Events: procs %d, tasks %d", rp.Events, rt.Events)
+	}
 	return rp, rt
 }
 

@@ -185,7 +185,7 @@ func (tc *TComm) IBarrier(k func(*TRequest)) {
 		return
 	}
 	tc.issueT("IBarrier", 0, nil, func(ht *sim.Task, fin func()) {
-		tc.tcoll.BarrierT(ht, tc.c.rank, fin)
+		tc.g.BarrierT(ht, tc.c.rank, fin)
 	}, k)
 }
 
@@ -196,7 +196,7 @@ func (tc *TComm) IBcast(buf []byte, root int, k func(*TRequest)) {
 		return
 	}
 	tc.issueT("IBcast", int64(len(buf)), []check.Buf{check.BufOf("buf", buf)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.BcastT(ht, tc.c.rank, buf, root, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.BcastT(ht, tc.c.rank, buf, root, fin) }, k)
 }
 
 // IReduce starts a non-blocking reduction into recv at root; see Reduce.
@@ -207,7 +207,7 @@ func (tc *TComm) IReduce(send, recv []byte, dt Datatype, op Op, root int, k func
 	}
 	tc.issueT("IReduce", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ReduceT(ht, tc.c.rank, send, recv, dt, op, root, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.ReduceT(ht, tc.c.rank, send, recv, dt, op, root, fin) }, k)
 }
 
 // IAllreduce starts a non-blocking allreduce; see Allreduce.
@@ -218,7 +218,7 @@ func (tc *TComm) IAllreduce(send, recv []byte, dt Datatype, op Op, k func(*TRequ
 	}
 	tc.issueT("IAllreduce", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.AllreduceT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.AllreduceT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
 }
 
 // IGather starts a non-blocking gather into recv at root; see Gather.
@@ -229,7 +229,7 @@ func (tc *TComm) IGather(send, recv []byte, root int, k func(*TRequest)) {
 	}
 	tc.issueT("IGather", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.GatherT(ht, tc.c.rank, send, recv, root, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.GatherT(ht, tc.c.rank, send, recv, root, fin) }, k)
 }
 
 // IScatter starts a non-blocking scatter from root's send; see Scatter.
@@ -240,7 +240,7 @@ func (tc *TComm) IScatter(send, recv []byte, root int, k func(*TRequest)) {
 	}
 	tc.issueT("IScatter", int64(len(recv)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ScatterT(ht, tc.c.rank, send, recv, root, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.ScatterT(ht, tc.c.rank, send, recv, root, fin) }, k)
 }
 
 // IAllgather starts a non-blocking allgather; see Allgather.
@@ -251,7 +251,7 @@ func (tc *TComm) IAllgather(send, recv []byte, k func(*TRequest)) {
 	}
 	tc.issueT("IAllgather", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.AllgatherT(ht, tc.c.rank, send, recv, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.AllgatherT(ht, tc.c.rank, send, recv, fin) }, k)
 }
 
 // IAlltoall starts a non-blocking all-to-all exchange; see Alltoall.
@@ -262,7 +262,7 @@ func (tc *TComm) IAlltoall(send, recv []byte, k func(*TRequest)) {
 	}
 	tc.issueT("IAlltoall", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.AlltoallT(ht, tc.c.rank, send, recv, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.AlltoallT(ht, tc.c.rank, send, recv, fin) }, k)
 }
 
 // IReduceScatter starts a non-blocking reduce-scatter; see ReduceScatter.
@@ -273,7 +273,7 @@ func (tc *TComm) IReduceScatter(send, recv []byte, dt Datatype, op Op, k func(*T
 	}
 	tc.issueT("IReduceScatter", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ReduceScatterT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.ReduceScatterT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
 }
 
 // IScan starts a non-blocking inclusive prefix reduction; see Scan.
@@ -284,7 +284,7 @@ func (tc *TComm) IScan(send, recv []byte, dt Datatype, op Op, k func(*TRequest))
 	}
 	tc.issueT("IScan", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ScanT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.ScanT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
 }
 
 // IExscan starts a non-blocking exclusive prefix reduction; see Exscan.
@@ -295,5 +295,5 @@ func (tc *TComm) IExscan(send, recv []byte, dt Datatype, op Op, k func(*TRequest
 	}
 	tc.issueT("IExscan", int64(len(send)),
 		[]check.Buf{check.BufOf("send", send), check.BufOf("recv", recv)},
-		func(ht *sim.Task, fin func()) { tc.tcoll.ExscanT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
+		func(ht *sim.Task, fin func()) { tc.g.ExscanT(ht, tc.c.rank, send, recv, dt, op, fin) }, k)
 }
