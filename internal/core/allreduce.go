@@ -59,7 +59,7 @@ type allreduceState struct {
 	helperDone []*sim.Event
 }
 
-func newAllreduceState(g *Group, size int, ds dataspec) *allreduceState {
+func newAllreduceState(g *Group, sc *scratch, size int, ds dataspec) *allreduceState {
 	s := g.s
 	cfg := s.m.Cfg
 	a := &allreduceState{
@@ -85,9 +85,9 @@ func newAllreduceState(g *Group, size int, ds dataspec) *allreduceState {
 	a.resReady = make([]*sim.Event, nn)
 	a.pub = make([]publisher, nn)
 	for x, nd := range g.lay.nodes {
-		a.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), chunkBytes)
+		a.rn[x] = s.newRedNode(sc, nd, 0, len(g.lay.local[x]), chunkBytes)
 		a.resReady[x] = s.m.Env.NewEvent()
-		a.pub[x] = s.newPublisher(nd, 0, len(g.lay.local[x]), chunkBytes)
+		a.pub[x] = s.newPublisher(sc, nd, 0, len(g.lay.local[x]), chunkBytes)
 	}
 	if a.small {
 		a.pow = 1
@@ -101,13 +101,13 @@ func newAllreduceState(g *Group, size int, ds dataspec) *allreduceState {
 		a.rdArr = make([][]*rma.Counter, nn)
 		a.resArr = make([]*rma.Counter, nn)
 		for x := 0; x < nn; x++ {
-			a.foldSlot[x] = make([]byte, size)
+			a.foldSlot[x] = sc.buf(size)
 			a.foldArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 			a.resArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 			a.rdSlot[x] = make([][]byte, rounds)
 			a.rdArr[x] = make([]*rma.Counter, rounds)
 			for r := 0; r < rounds; r++ {
-				a.rdSlot[x][r] = make([]byte, size)
+				a.rdSlot[x][r] = sc.buf(size)
 				a.rdArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 			}
 		}
@@ -120,7 +120,7 @@ func newAllreduceState(g *Group, size int, ds dataspec) *allreduceState {
 		a.helperDone = make([]*sim.Event, nn)
 		a.chunkDone = shm.NewFlag(s.m, g.lay.nodes[0])
 		for x := 0; x < nn; x++ {
-			a.pslot[x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
+			a.pslot[x] = [2][]byte{sc.buf(chunkBytes), sc.buf(chunkBytes)}
 			a.arr[x] = [2]*rma.Counter{
 				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
@@ -166,30 +166,30 @@ func (g *Group) AllreduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Ty
 	// group dispatches the same call to the same algorithm family.
 	switch g.s.allreduceAlg(len(send)) {
 	case AlgRing:
-		st, release := g.acquire(rank, func() any { return newRingState(g, len(send), ds) })
-		a := st.(*ringState)
+		e := g.acquire(rank, func(sc *scratch) any { return newRingState(g, sc, len(send), ds) })
+		a := e.state.(*ringState)
 		a.check(len(send), ds, rank)
-		a.run(t, rank, send, recv, opDone(t, release, kont))
+		a.run(t, rank, send, recv, opDone(t, e, kont))
 		return
 	case AlgRHD:
-		st, release := g.acquire(rank, func() any { return newRHDState(g, len(send), ds) })
-		a := st.(*rhdState)
+		e := g.acquire(rank, func(sc *scratch) any { return newRHDState(g, sc, len(send), ds) })
+		a := e.state.(*rhdState)
 		a.check(len(send), ds, rank)
-		a.run(t, rank, send, recv, opDone(t, release, kont))
+		a.run(t, rank, send, recv, opDone(t, e, kont))
 		return
 	case AlgDualRoot:
-		st, release := g.acquire(rank, func() any { return newDualRootState(g, len(send), ds) })
-		a := st.(*dualRootState)
+		e := g.acquire(rank, func(sc *scratch) any { return newDualRootState(g, sc, len(send), ds) })
+		a := e.state.(*dualRootState)
 		a.check(len(send), ds, rank)
-		a.run(t, rank, send, recv, opDone(t, release, kont))
+		a.run(t, rank, send, recv, opDone(t, e, kont))
 		return
 	}
-	st, release := g.acquire(rank, func() any { return newAllreduceState(g, len(send), ds) })
-	a := st.(*allreduceState)
+	e := g.acquire(rank, func(sc *scratch) any { return newAllreduceState(g, sc, len(send), ds) })
+	a := e.state.(*allreduceState)
 	if a.size != len(send) || a.ds != ds {
 		panic(fmt.Sprintf("core: Allreduce mismatch at rank %d", rank))
 	}
-	a.run(t, rank, send, recv, opDone(t, release, kont))
+	a.run(t, rank, send, recv, opDone(t, e, kont))
 }
 
 func (a *allreduceState) run(t *sim.Task, rank int, send, recv []byte, kont func()) {

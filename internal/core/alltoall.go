@@ -43,7 +43,7 @@ type alltoallState struct {
 	blkArr     []*rma.Counter
 }
 
-func newAlltoallState(g *Group, blk int) *alltoallState {
+func newAlltoallState(g *Group, sc *scratch, blk int) *alltoallState {
 	s := g.s
 	nn := len(g.lay.nodes)
 	st := &alltoallState{
@@ -75,8 +75,10 @@ func newAlltoallState(g *Group, blk int) *alltoallState {
 		st.in[x] = make([][]byte, nn)
 		st.arr[x] = make([]*rma.Counter, nn)
 		for y := range g.lay.nodes {
-			st.out[x][y] = make([]byte, len(g.lay.local[x])*len(g.lay.local[y])*blk)
-			st.in[x][y] = make([]byte, len(g.lay.local[y])*len(g.lay.local[x])*blk)
+			st.out[x][y] = sc.buf(len(g.lay.local[x]) * len(g.lay.local[y]) * blk)
+			if y != x { // in[x][x] aliases out[x][x] (see run)
+				st.in[x][y] = sc.buf(len(g.lay.local[y]) * len(g.lay.local[x]) * blk)
+			}
 			st.arr[x][y] = s.dom.NewCounter(0)
 		}
 		st.staged[x] = shm.NewFlagSet(s.m, nd, len(g.lay.local[x]))
@@ -111,12 +113,12 @@ func (g *Group) AlltoallT(t *sim.Task, rank int, send, recv []byte, kont func())
 			len(send), g.Size()))
 	}
 	blk := len(send) / g.Size()
-	st, release := g.acquire(rank, func() any { return newAlltoallState(g, blk) })
-	a := st.(*alltoallState)
+	e := g.acquire(rank, func(sc *scratch) any { return newAlltoallState(g, sc, blk) })
+	a := e.state.(*alltoallState)
 	if a.blk != blk {
 		panic(fmt.Sprintf("core: Alltoall mismatch at rank %d", rank))
 	}
-	fin := opDone(t, release, kont)
+	fin := opDone(t, e, kont)
 	if a.direct {
 		a.runDirect(t, rank, send, recv, fin)
 	} else {

@@ -53,8 +53,8 @@ func (s *SRM) BarrierT(t *sim.Task, rank int, kont func()) {
 // BarrierT blocks until every group member has entered the barrier, then
 // runs kont.
 func (g *Group) BarrierT(t *sim.Task, rank int, kont func()) {
-	st, release := g.acquire(rank, func() any { return newBarrierState(g) })
-	st.(*barrierState).run(t, rank, opDone(t, release, kont))
+	e := g.acquire(rank, func(*scratch) any { return newBarrierState(g) })
+	e.state.(*barrierState).run(t, rank, opDone(t, e, kont))
 }
 
 func (b *barrierState) run(t *sim.Task, rank int, kont func()) {

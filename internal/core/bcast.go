@@ -40,7 +40,7 @@ type bcastState struct {
 	pub []publisher
 }
 
-func newBcastState(g *Group, root, size int) *bcastState {
+func newBcastState(g *Group, sc *scratch, root, size int) *bcastState {
 	s := g.s
 	cfg := s.m.Cfg
 	b := &bcastState{
@@ -70,7 +70,7 @@ func newBcastState(g *Group, root, size int) *bcastState {
 	chunkBytes := b.sp[0].n
 	for x, nd := range g.lay.nodes {
 		if !b.large {
-			b.netBuf[x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
+			b.netBuf[x] = [2][]byte{sc.buf(chunkBytes), sc.buf(chunkBytes)}
 			b.freeC[x] = [2]*rma.Counter{
 				s.dom.NewCounter(1).TraceClass(trace.ClassWaitCredit),
 				s.dom.NewCounter(1).TraceClass(trace.ClassWaitCredit),
@@ -82,7 +82,7 @@ func newBcastState(g *Group, root, size int) *bcastState {
 			b.arr[x] = s.arrivalCounters(2)
 		}
 		b.registered[x] = s.m.Env.NewEvent()
-		b.pub[x] = s.newPublisher(nd, g.lay.li[b.emb.masters[x]], len(g.lay.local[x]), chunkBytes)
+		b.pub[x] = s.newPublisher(sc, nd, g.lay.li[b.emb.masters[x]], len(g.lay.local[x]), chunkBytes)
 	}
 	return b
 }
@@ -106,13 +106,13 @@ func (s *SRM) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
 // BcastT broadcasts buf from the member rank root to every group member,
 // then runs kont.
 func (g *Group) BcastT(t *sim.Task, rank int, buf []byte, root int, kont func()) {
-	st, release := g.acquire(rank, func() any { return newBcastState(g, root, len(buf)) })
-	b := st.(*bcastState)
+	e := g.acquire(rank, func(sc *scratch) any { return newBcastState(g, sc, root, len(buf)) })
+	b := e.state.(*bcastState)
 	if b.root != root || b.size != len(buf) {
 		panic(fmt.Sprintf("core: Bcast mismatch at rank %d: root %d/%d size %d/%d",
 			rank, root, b.root, len(buf), b.size))
 	}
-	b.run(t, rank, buf, opDone(t, release, kont))
+	b.run(t, rank, buf, opDone(t, e, kont))
 }
 
 func (b *bcastState) run(t *sim.Task, rank int, buf []byte, kont func()) {

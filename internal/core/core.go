@@ -30,6 +30,7 @@ package core
 import (
 	"fmt"
 
+	"srmcoll/internal/bufpool"
 	"srmcoll/internal/machine"
 	"srmcoll/internal/rma"
 	"srmcoll/internal/trace"
@@ -151,9 +152,71 @@ type SRM struct {
 	world  *Group
 }
 
+// opEntry is one operation instance of a group's stream: the state every
+// member shares, and the scratch buffers that state draws from the pool.
 type opEntry struct {
-	state any
-	done  int
+	scratch
+	g       *Group
+	seq     int
+	state   any
+	done    int
+	unwound bool   // some member left through its unwind stack
+	abort   func() // e.unwind, bound once per entry for the unwind stack
+}
+
+// scratchPoolMin is the smallest scratch buffer drawn from the machine's
+// pool. Smaller ones are plain allocations: pooled, they stay live between
+// operations, which at thousands of ranks of tiny messages raised the peak
+// heap more than it saved in allocation.
+const scratchPoolMin = 4096
+
+// scratch owns the per-operation buffers of one operation's state: shared
+// staging, slot and partial-sum buffers that one-sided puts and shared
+// memory copies write into. Buffers come back to the pool only when the
+// operation retires cleanly (see opEntry.leave).
+type scratch struct {
+	pool *bufpool.Pool
+	bufs [][]byte
+}
+
+// buf returns an n-byte scratch buffer. Pooled contents are unspecified:
+// every reader must read only bytes this operation wrote first.
+func (sc *scratch) buf(n int) []byte {
+	if n < scratchPoolMin {
+		return make([]byte, n)
+	}
+	b := sc.pool.Get(n)
+	sc.bufs = append(sc.bufs, b)
+	return b
+}
+
+// unwind retires a member that left through its unwind stack (killed or
+// interrupted). Its puts may still be in flight, so the entry's scratch is
+// never recycled.
+func (e *opEntry) unwind() {
+	e.unwound = true
+	e.leave()
+}
+
+// leave counts one member out of the operation; opDone calls it when the
+// member completes normally. The last member out retires the entry. Its
+// scratch goes back to the pool only if every member completed normally
+// and no write can still land in it: every put into scratch has its
+// arrival awaited by some member before that member completes, and
+// delivery is exactly once when the domain is reliable (duplicates are
+// dropped before the copy) or no faults are injected.
+func (e *opEntry) leave() {
+	e.done++
+	if e.done < len(e.g.lay.members) {
+		return
+	}
+	delete(e.g.ops, e.seq)
+	s := e.g.s
+	if !e.unwound && (s.dom.Reliable() || s.m.Faults == nil) {
+		for _, b := range e.bufs {
+			e.pool.Put(b)
+		}
+	}
 }
 
 // New creates the engine. The domain must belong to the machine.

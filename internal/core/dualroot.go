@@ -41,7 +41,7 @@ type dualRootState struct {
 	helperDone []*sim.Event
 }
 
-func newDualRootState(g *Group, size int, ds dataspec) *dualRootState {
+func newDualRootState(g *Group, sc *scratch, size int, ds dataspec) *dualRootState {
 	s := g.s
 	cfg := s.m.Cfg
 	a := &dualRootState{g: g, size: size, ds: ds}
@@ -61,9 +61,9 @@ func newDualRootState(g *Group, size int, ds dataspec) *dualRootState {
 	a.helperDone = make([]*sim.Event, nn)
 	a.bArr = make([][]*rma.Counter, nn)
 	for x, nd := range g.lay.nodes {
-		a.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), chunkBytes)
+		a.rn[x] = s.newRedNode(sc, nd, 0, len(g.lay.local[x]), chunkBytes)
 		a.resReady[x] = s.m.Env.NewEvent()
-		a.pub[x] = s.newPublisher(nd, 0, len(g.lay.local[x]), chunkBytes)
+		a.pub[x] = s.newPublisher(sc, nd, 0, len(g.lay.local[x]), chunkBytes)
 		a.helperDone[x] = s.m.Env.NewEvent()
 		a.bArr[x] = s.arrivalCounters(len(a.sp))
 	}
@@ -76,7 +76,7 @@ func newDualRootState(g *Group, size int, ds dataspec) *dualRootState {
 		a.arr[ti] = make([][2]*rma.Counter, nn)
 		a.credit[ti] = make([]*rma.Counter, nn)
 		for x := 0; x < nn; x++ {
-			a.pslot[ti][x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
+			a.pslot[ti][x] = [2][]byte{sc.buf(chunkBytes), sc.buf(chunkBytes)}
 			a.arr[ti][x] = [2]*rma.Counter{
 				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 				s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),

@@ -76,7 +76,7 @@ type redistState struct {
 	stepCnt    [][]*rma.Counter // [member][step]
 }
 
-func newRedistState(g *Group, kind string, root, blk int) *redistState {
+func newRedistState(g *Group, sc *scratch, kind string, root, blk int) *redistState {
 	s := g.s
 	st := &redistState{
 		g:       g,
@@ -121,7 +121,7 @@ func newRedistState(g *Group, kind string, root, blk int) *redistState {
 		if kind == "allgather" {
 			size = total
 		}
-		st.staged[x] = make([]byte, size)
+		st.staged[x] = sc.buf(size)
 		st.inFlag[x] = shm.NewFlagSet(s.m, nd, len(g.lay.local[x]))
 		st.ready[x] = shm.NewFlag(s.m, nd)
 		st.arr[x] = s.dom.NewCounter(0)
@@ -192,8 +192,8 @@ func (s *SRM) Allgather(p *sim.Proc, rank int, send, recv []byte) {
 
 // GatherT is Gather in continuation-passing form: kont runs once it completes.
 func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "gather", root, len(send)) })
-	r := st.(*redistState)
+	e := g.acquire(rank, func(sc *scratch) any { return newRedistState(g, sc, "gather", root, len(send)) })
+	r := e.state.(*redistState)
 	if r.kind != "gather" || r.root != root || r.blk != len(send) {
 		panic(fmt.Sprintf("core: Gather mismatch at rank %d", rank))
 	}
@@ -202,7 +202,7 @@ func (g *Group) GatherT(t *sim.Task, rank int, send, recv []byte, root int, kont
 		r.rootBuf = recv
 		r.rootSet.Trigger()
 	}
-	r.runGather(t, rank, send, opDone(t, release, kont))
+	r.runGather(t, rank, send, opDone(t, e, kont))
 }
 
 func (st *redistState) runGather(t *sim.Task, rank int, send []byte, kont func()) {
@@ -286,15 +286,15 @@ func (st *redistState) runGather(t *sim.Task, rank int, send []byte, kont func()
 // ScatterT is Scatter in continuation-passing form: kont runs once
 // it completes.
 func (g *Group) ScatterT(t *sim.Task, rank int, send, recv []byte, root int, kont func()) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "scatter", root, len(recv)) })
-	r := st.(*redistState)
+	e := g.acquire(rank, func(sc *scratch) any { return newRedistState(g, sc, "scatter", root, len(recv)) })
+	r := e.state.(*redistState)
 	if r.kind != "scatter" || r.root != root || r.blk != len(recv) {
 		panic(fmt.Sprintf("core: Scatter mismatch at rank %d", rank))
 	}
 	if rank == root {
 		check.Size("core.Scatter", rank, "send", len(send), r.blk*g.Size())
 	}
-	r.runScatter(t, rank, send, recv, opDone(t, release, kont))
+	r.runScatter(t, rank, send, recv, opDone(t, e, kont))
 }
 
 func (st *redistState) runScatter(t *sim.Task, rank int, send, recv []byte, kont func()) {
@@ -363,13 +363,15 @@ func (st *redistState) runScatter(t *sim.Task, rank int, send, recv []byte, kont
 // AllgatherT is Allgather in continuation-passing form: kont runs once
 // it completes.
 func (g *Group) AllgatherT(t *sim.Task, rank int, send, recv []byte, kont func()) {
-	st, release := g.acquire(rank, func() any { return newRedistState(g, "allgather", g.lay.members[0], len(send)) })
-	r := st.(*redistState)
+	e := g.acquire(rank, func(sc *scratch) any {
+		return newRedistState(g, sc, "allgather", g.lay.members[0], len(send))
+	})
+	r := e.state.(*redistState)
 	if r.kind != "allgather" || r.blk != len(send) {
 		panic(fmt.Sprintf("core: Allgather mismatch at rank %d", rank))
 	}
 	check.Size("core.Allgather", rank, "recv", len(recv), r.blk*g.Size())
-	fin := opDone(t, release, kont)
+	fin := opDone(t, e, kont)
 	if r.direct {
 		r.runAllgatherDirect(t, rank, send, recv, fin)
 	} else {

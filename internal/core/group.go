@@ -145,8 +145,10 @@ func (g *Group) Members() []int { return append([]int(nil), g.lay.members...) }
 // Contains reports whether the global rank is a member.
 func (g *Group) Contains(rank int) bool { return g.lay.contains(rank) }
 
-// acquire mirrors SRM.acquire for the group's operation stream.
-func (g *Group) acquire(rank int, mk func() any) (any, func()) {
+// acquire returns the entry of the caller's next operation on the group's
+// stream, building its state with mk on first arrival. The caller hands the
+// entry to opDone, which retires it for this member.
+func (g *Group) acquire(rank int, mk func(sc *scratch) any) *opEntry {
 	if !g.lay.contains(rank) {
 		panic(fmt.Sprintf("core: rank %d is not a member of the group", rank))
 	}
@@ -154,15 +156,12 @@ func (g *Group) acquire(rank int, mk func() any) (any, func()) {
 	g.seq[rank] = seq + 1
 	e := g.ops[seq]
 	if e == nil {
-		e = &opEntry{state: mk()}
+		e = &opEntry{scratch: scratch{pool: g.s.m.Buffers}, g: g, seq: seq}
+		e.abort = e.unwind
+		e.state = mk(&e.scratch)
 		g.ops[seq] = e
 	}
-	return e.state, func() {
-		e.done++
-		if e.done == len(g.lay.members) {
-			delete(g.ops, seq)
-		}
-	}
+	return e
 }
 
 // Sub returns the group over a subset of this group's members (groups are

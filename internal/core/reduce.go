@@ -43,7 +43,7 @@ type reduceState struct {
 	sp   []span
 
 	rn      []*redNode // per-node SMP reduce machinery
-	partial [][]byte   // per node: master's partial-result buffer
+	partial [][]byte   // per node: master's partial-result buffer (root's recv at the root)
 
 	// Inter-node: the parent holds two chunk slots per child; the child
 	// holds a credit counter (initially 2) replenished by zero-byte puts.
@@ -52,7 +52,7 @@ type reduceState struct {
 	credit []*rma.Counter    // free slots for child node's puts, at the child
 }
 
-func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
+func newReduceState(g *Group, sc *scratch, root, size int, ds dataspec) *reduceState {
 	s := g.s
 	cfg := s.m.Cfg
 	r := &reduceState{
@@ -78,8 +78,11 @@ func newReduceState(g *Group, root, size int, ds dataspec) *reduceState {
 	r.credit = make([]*rma.Counter, nn)
 	chunkBytes := r.sp[0].n
 	for x, nd := range g.lay.nodes {
-		r.rn[x] = s.newRedNode(nd, g.lay.li[r.emb.masters[x]], len(g.lay.local[x]), chunkBytes)
-		r.pslot[x] = [2][]byte{make([]byte, chunkBytes), make([]byte, chunkBytes)}
+		r.rn[x] = s.newRedNode(sc, nd, g.lay.li[r.emb.masters[x]], len(g.lay.local[x]), chunkBytes)
+		r.pslot[x] = [2][]byte{sc.buf(chunkBytes), sc.buf(chunkBytes)}
+		if x != r.emb.inter.Root {
+			r.partial[x] = sc.buf(size)
+		}
 		r.arr[x] = [2]*rma.Counter{
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
@@ -113,8 +116,8 @@ func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type,
 	if err := ds.validate(len(send)); err != nil {
 		panic(err)
 	}
-	st, release := g.acquire(rank, func() any { return newReduceState(g, root, len(send), ds) })
-	r := st.(*reduceState)
+	e := g.acquire(rank, func(sc *scratch) any { return newReduceState(g, sc, root, len(send), ds) })
+	r := e.state.(*reduceState)
 	if r.root != root || r.size != len(send) || r.ds != ds {
 		panic(fmt.Sprintf("core: Reduce mismatch at rank %d", rank))
 	}
@@ -124,7 +127,7 @@ func (g *Group) ReduceT(t *sim.Task, rank int, send, recv []byte, dt dtype.Type,
 		}
 		r.partial[g.lay.ni[rank]] = recv
 	}
-	r.run(t, rank, send, opDone(t, release, kont))
+	r.run(t, rank, send, opDone(t, e, kont))
 }
 
 func (r *reduceState) run(t *sim.Task, rank int, send []byte, kont func()) {
@@ -151,9 +154,6 @@ func (r *reduceState) master(t *sim.Task, ep *rma.Endpoint, x int, send []byte, 
 	s := g.s
 	node := g.lay.nodes[x]
 	atRoot := x == r.emb.inter.Root
-	if r.partial[x] == nil {
-		r.partial[x] = make([]byte, r.size)
-	}
 	interKids := r.emb.inter.Children[x]
 
 	var chunk func(k int)

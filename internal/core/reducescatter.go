@@ -30,7 +30,7 @@ type reduceScatterState struct {
 	offs    [][]int // per node: input-vector byte offset of each member's block
 }
 
-func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
+func newReduceScatterState(g *Group, sc *scratch, blk int, ds dataspec) *reduceScatterState {
 	s := g.s
 	cfg := s.m.Cfg
 	nn := len(g.lay.nodes)
@@ -60,14 +60,14 @@ func newReduceScatterState(g *Group, blk int, ds dataspec) *reduceScatterState {
 		pos[r] = i
 	}
 	for x, nd := range g.lay.nodes {
-		st.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), st.sp[0].n)
-		st.partial[x] = make([]byte, total)
+		st.rn[x] = s.newRedNode(sc, nd, 0, len(g.lay.local[x]), st.sp[0].n)
+		st.partial[x] = sc.buf(total)
 		size := blk * len(g.lay.local[x])
-		st.acc[x] = make([]byte, size)
+		st.acc[x] = sc.buf(size)
 		st.slot[x] = make([][]byte, nn)
 		st.arr[x] = make([]*rma.Counter, nn)
 		for y := 0; y < nn; y++ {
-			st.slot[x][y] = make([]byte, size)
+			st.slot[x][y] = sc.buf(size)
 			st.arr[x][y] = s.dom.NewCounter(0)
 		}
 		st.ready[x] = shm.NewFlag(s.m, nd)
@@ -135,12 +135,12 @@ func (g *Group) ReduceScatterT(t *sim.Task, rank int, send, recv []byte, dt dtyp
 	if len(recv)%dt.Size() != 0 {
 		panic(fmt.Sprintf("core: ReduceScatter block %d not element-aligned", len(recv)))
 	}
-	st, release := g.acquire(rank, func() any { return newReduceScatterState(g, len(recv), ds) })
-	r := st.(*reduceScatterState)
+	e := g.acquire(rank, func(sc *scratch) any { return newReduceScatterState(g, sc, len(recv), ds) })
+	r := e.state.(*reduceScatterState)
 	if r.blk != len(recv) || r.ds != ds {
 		panic(fmt.Sprintf("core: ReduceScatter mismatch at rank %d", rank))
 	}
-	r.run(t, rank, send, recv, opDone(t, release, kont))
+	r.run(t, rank, send, recv, opDone(t, e, kont))
 }
 
 // ReduceScatterT is Group.ReduceScatterT over all ranks.

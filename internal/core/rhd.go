@@ -39,7 +39,7 @@ type rhdState struct {
 	dblArr   [][]*rma.Counter // [node][round]: allgather segment landed in recv
 }
 
-func newRHDState(g *Group, size int, ds dataspec) *rhdState {
+func newRHDState(g *Group, sc *scratch, size int, ds dataspec) *rhdState {
 	s := g.s
 	a := &rhdState{g: g, size: size, ds: ds, sp: chunks(size, max(size, 1))}
 	nn := len(g.lay.nodes)
@@ -49,9 +49,9 @@ func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 	a.resReady = make([]*sim.Event, nn)
 	a.pub = make([]publisher, nn)
 	for x, nd := range g.lay.nodes {
-		a.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), chunkBytes)
+		a.rn[x] = s.newRedNode(sc, nd, 0, len(g.lay.local[x]), chunkBytes)
 		a.resReady[x] = s.m.Env.NewEvent()
-		a.pub[x] = s.newPublisher(nd, 0, len(g.lay.local[x]), chunkBytes)
+		a.pub[x] = s.newPublisher(sc, nd, 0, len(g.lay.local[x]), chunkBytes)
 	}
 	a.pow = 1
 	for a.pow*2 <= nn {
@@ -67,7 +67,7 @@ func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 	a.halfArr = make([][]*rma.Counter, nn)
 	a.dblArr = make([][]*rma.Counter, nn)
 	for x := 0; x < nn; x++ {
-		a.foldSlot[x] = make([]byte, size)
+		a.foldSlot[x] = sc.buf(size)
 		a.foldArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		a.resArr[x] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		a.halfSlot[x] = make([][]byte, rounds)
@@ -76,7 +76,7 @@ func newRHDState(g *Group, size int, ds dataspec) *rhdState {
 		for r := 0; r < rounds; r++ {
 			// The half received at round r is at most ceil(elems/2^(r+1))
 			// elements.
-			a.halfSlot[x][r] = make([]byte, ((elems>>(r+1))+1)*esize)
+			a.halfSlot[x][r] = sc.buf(((elems >> (r + 1)) + 1) * esize)
 			a.halfArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 			a.dblArr[x][r] = s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive)
 		}

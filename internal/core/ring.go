@@ -40,7 +40,7 @@ func (g *Group) masterEp(x int) *rma.Endpoint {
 	return g.s.dom.Endpoint(g.lay.local[x][0])
 }
 
-func newRingState(g *Group, size int, ds dataspec) *ringState {
+func newRingState(g *Group, sc *scratch, size int, ds dataspec) *ringState {
 	s := g.s
 	a := &ringState{g: g, size: size, ds: ds, sp: chunks(size, max(size, 1))}
 	nn := len(g.lay.nodes)
@@ -50,9 +50,9 @@ func newRingState(g *Group, size int, ds dataspec) *ringState {
 	a.resReady = make([]*sim.Event, nn)
 	a.pub = make([]publisher, nn)
 	for x, nd := range g.lay.nodes {
-		a.rn[x] = s.newRedNode(nd, 0, len(g.lay.local[x]), chunkBytes)
+		a.rn[x] = s.newRedNode(sc, nd, 0, len(g.lay.local[x]), chunkBytes)
 		a.resReady[x] = s.m.Env.NewEvent()
-		a.pub[x] = s.newPublisher(nd, 0, len(g.lay.local[x]), chunkBytes)
+		a.pub[x] = s.newPublisher(sc, nd, 0, len(g.lay.local[x]), chunkBytes)
 	}
 	esize := ds.dt.Size()
 	elems := size / esize
@@ -74,7 +74,7 @@ func newRingState(g *Group, size int, ds dataspec) *ringState {
 	a.arr = make([][2]*rma.Counter, nn)
 	a.credit = make([]*rma.Counter, nn)
 	for x := 0; x < nn; x++ {
-		a.slot[x] = [2][]byte{make([]byte, maxBlk), make([]byte, maxBlk)}
+		a.slot[x] = [2][]byte{sc.buf(maxBlk), sc.buf(maxBlk)}
 		a.arr[x] = [2]*rma.Counter{
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),
 			s.dom.NewCounter(0).TraceClass(trace.ClassWaitArrive),

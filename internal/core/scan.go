@@ -28,7 +28,7 @@ type scanState struct {
 	sarr   []*rma.Counter
 }
 
-func newScanState(g *Group, size int, ds dataspec) *scanState {
+func newScanState(g *Group, sc *scratch, size int, ds dataspec) *scanState {
 	s := g.s
 	P := len(g.lay.members)
 	st := &scanState{
@@ -46,10 +46,10 @@ func newScanState(g *Group, size int, ds dataspec) *scanState {
 		st.slot[i] = make([][]byte, st.rounds)
 		st.arr[i] = make([]*rma.Counter, st.rounds)
 		for r := 0; r < st.rounds; r++ {
-			st.slot[i][r] = make([]byte, size)
+			st.slot[i][r] = sc.buf(size)
 			st.arr[i][r] = s.dom.NewCounter(0)
 		}
-		st.shift[i] = make([]byte, size)
+		st.shift[i] = sc.buf(size)
 		st.sarr[i] = s.dom.NewCounter(0)
 	}
 	return st
@@ -95,12 +95,12 @@ func (g *Group) scan(t *sim.Task, rank int, send, recv []byte, dt dtype.Type, op
 	if len(recv) != len(send) {
 		panic(fmt.Sprintf("core: scan recv %d bytes, want %d", len(recv), len(send)))
 	}
-	st, release := g.acquire(rank, func() any { return newScanState(g, len(send), ds) })
-	sc := st.(*scanState)
-	if sc.size != len(send) || sc.ds != ds {
+	e := g.acquire(rank, func(sc *scratch) any { return newScanState(g, sc, len(send), ds) })
+	st := e.state.(*scanState)
+	if st.size != len(send) || st.ds != ds {
 		panic(fmt.Sprintf("core: scan mismatch at rank %d", rank))
 	}
-	sc.run(t, rank, send, recv, exclusive, opDone(t, release, kont))
+	st.run(t, rank, send, recv, exclusive, opDone(t, e, kont))
 }
 
 // ScanT is Group.ScanT over all ranks.

@@ -23,7 +23,7 @@ type smpPub struct {
 	done        *shm.FlagSet
 }
 
-func (s *SRM) newSmpPub(node, masterLocal, count, bufSize int) *smpPub {
+func (s *SRM) newSmpPub(sc *scratch, node, masterLocal, count, bufSize int) *smpPub {
 	pub := &smpPub{
 		s:           s,
 		node:        node,
@@ -31,8 +31,8 @@ func (s *SRM) newSmpPub(node, masterLocal, count, bufSize int) *smpPub {
 		ready:       shm.NewFlag(s.m, node),
 		done:        shm.NewFlagSet(s.m, node, count),
 	}
-	pub.buf[0] = make([]byte, bufSize)
-	pub.buf[1] = make([]byte, bufSize)
+	pub.buf[0] = sc.buf(bufSize)
+	pub.buf[1] = sc.buf(bufSize)
 	return pub
 }
 
@@ -118,7 +118,7 @@ type treePub struct {
 	ack  [][]*shm.Flag // per task, per child: chunks pulled by that child
 }
 
-func (s *SRM) newTreePub(node, masterLocal, count, bufSize int) *treePub {
+func (s *SRM) newTreePub(sc *scratch, node, masterLocal, count, bufSize int) *treePub {
 	tp := &treePub{
 		s:    s,
 		node: node,
@@ -128,7 +128,7 @@ func (s *SRM) newTreePub(node, masterLocal, count, bufSize int) *treePub {
 		ack:  make([][]*shm.Flag, count),
 	}
 	for i := 0; i < count; i++ {
-		tp.buf[i] = [2][]byte{make([]byte, bufSize), make([]byte, bufSize)}
+		tp.buf[i] = [2][]byte{sc.buf(bufSize), sc.buf(bufSize)}
 		tp.full[i] = shm.NewFlag(s.m, node)
 		tp.ack[i] = make([]*shm.Flag, len(tp.tr.Children[i]))
 		for j := range tp.ack[i] {
@@ -254,14 +254,14 @@ func consumeAll(t *sim.Task, pub publisher, local int, sp []span, dst []byte, ko
 
 // newPublisher picks the SMP broadcast variant per Options. count is the
 // number of participating tasks on the node; masterLocal indexes them.
-func (s *SRM) newPublisher(node, masterLocal, count, bufSize int) publisher {
+func (s *SRM) newPublisher(sc *scratch, node, masterLocal, count, bufSize int) publisher {
 	switch {
 	case s.opt.TreeSMPBcst:
-		return s.newTreePub(node, masterLocal, count, bufSize)
+		return s.newTreePub(sc, node, masterLocal, count, bufSize)
 	case s.opt.BarrierSMPBcst:
-		return s.newBarrierPub(node, masterLocal, count, bufSize)
+		return s.newBarrierPub(sc, node, masterLocal, count, bufSize)
 	default:
-		return s.newSmpPub(node, masterLocal, count, bufSize)
+		return s.newSmpPub(sc, node, masterLocal, count, bufSize)
 	}
 }
 
@@ -278,7 +278,7 @@ type redNode struct {
 	free []*shm.Flag
 }
 
-func (s *SRM) newRedNode(node, masterLocal, count, chunk int) *redNode {
+func (s *SRM) newRedNode(sc *scratch, node, masterLocal, count, chunk int) *redNode {
 	rn := &redNode{
 		s:    s,
 		node: node,
@@ -288,7 +288,7 @@ func (s *SRM) newRedNode(node, masterLocal, count, chunk int) *redNode {
 		free: make([]*shm.Flag, count),
 	}
 	for i := 0; i < count; i++ {
-		rn.slot[i] = [2][]byte{make([]byte, chunk), make([]byte, chunk)}
+		rn.slot[i] = [2][]byte{sc.buf(chunk), sc.buf(chunk)}
 		rn.full[i] = shm.NewFlag(s.m, node)
 		rn.free[i] = shm.NewFlag(s.m, node)
 	}
@@ -391,7 +391,7 @@ type barrierPub struct {
 	checkin     *shm.FlagSet // per-task arrival flags
 }
 
-func (s *SRM) newBarrierPub(node, masterLocal, count, bufSize int) *barrierPub {
+func (s *SRM) newBarrierPub(sc *scratch, node, masterLocal, count, bufSize int) *barrierPub {
 	pub := &barrierPub{
 		s:           s,
 		node:        node,
@@ -400,8 +400,8 @@ func (s *SRM) newBarrierPub(node, masterLocal, count, bufSize int) *barrierPub {
 		epoch:       shm.NewFlag(s.m, node),
 		checkin:     shm.NewFlagSet(s.m, node, count),
 	}
-	pub.buf[0] = make([]byte, bufSize)
-	pub.buf[1] = make([]byte, bufSize)
+	pub.buf[0] = sc.buf(bufSize)
+	pub.buf[1] = sc.buf(bufSize)
 	return pub
 }
 

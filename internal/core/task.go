@@ -19,14 +19,14 @@ import "srmcoll/internal/sim"
 // unwind-stack entry (armed under fault-tolerant execution and always for
 // a Proc's hosted task).
 
-// opDone builds the final continuation of a collective entry: the op-state
-// release also rides the unwind stack, so an interrupted operation still
-// retires its entry.
-func opDone(t *sim.Task, release, kont func()) func() {
-	t.PushUnwind(release)
+// opDone builds the final continuation of a collective entry: it retires
+// the member from the operation's entry, and the entry's unwind rides the
+// unwind stack, so an interrupted operation still retires it.
+func opDone(t *sim.Task, e *opEntry, kont func()) func() {
+	t.PushUnwind(e.abort)
 	return func() {
 		t.PopUnwind()
-		release()
+		e.leave()
 		kont()
 	}
 }
