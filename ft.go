@@ -25,6 +25,16 @@ package srmcoll
 // mid-rendezvous are excluded, so the rendezvous itself never hangs on a
 // crash). The whole recovery path is deterministic: same seed, same plan,
 // same declarations, bit-identical replay.
+//
+// One runtime serves both engines. Detection, declaration, failure
+// classification and the Agree/Shrink rendezvous are engine-agnostic; the
+// rendezvous runs in continuation-passing form on a *sim.Task, which a
+// goroutine rank reaches through sim.Proc.Await. Only the op runner is per
+// engine, because only it touches how a blocked operation unwinds: a Proc
+// is unwound by Env.Interrupt raising a panic through its goroutine stack
+// (ftRun recovers it), a Task by Env.InterruptTask running its OnInterrupt
+// handler (ftRunT). Both deliver the same *RankFailedError at the same
+// virtual time.
 
 import (
 	"errors"
@@ -112,15 +122,15 @@ type RepairRecord struct {
 
 // ftInterrupt is the panic payload delivered to a rank blocked inside a
 // collective when a member of its communicator is declared failed; the
-// ftRun recover turns it into a *RankFailedError.
+// ftRun recover (ftRunT's OnInterrupt handler on the Task engine) turns it
+// into a *RankFailedError.
 type ftInterrupt struct{ failed []int }
 
 // ftReg is one in-progress fault-sensitive operation: the process running
 // it (the rank itself, or a request helper) and the communicator it runs
 // on. Registered operations are interrupted when a member is declared.
 type ftReg struct {
-	p      *sim.Proc // Procs engine: the process running the op
-	t      *sim.Task // Tasks engine: the task running the op (p nil)
+	p      proc
 	c      *Comm
 	active bool
 }
@@ -142,12 +152,10 @@ type ftGather struct {
 // ftState is the per-Run fault-tolerance bookkeeping, shared by every Comm
 // of the run. All mutation happens on the single simulator thread.
 type ftState struct {
-	env   *sim.Env
-	det   *sim.Detector
-	procs []*sim.Proc // rank processes (Procs engine)
-	tasks []*sim.Task // rank tasks (Tasks engine)
-	rs    *runState
-	cfg   FTConfig
+	env *sim.Env
+	det *sim.Detector
+	rs  *runState
+	cfg FTConfig
 
 	markDead func(rank int) // cuts RMA delivery to the rank
 
@@ -179,15 +187,13 @@ func newFTState(env *sim.Env, markDead func(int), n int, rs *runState, cfg FTCon
 		rounds:   make(map[string]map[int]int),
 	}
 	ft.det = sim.NewDetector(env, cfg.HeartbeatPeriod, cfg.SuspicionTimeout)
-	ft.det.OnDeclare = func(p *sim.Proc, diedAt sim.Time) {
-		ft.declare(ft.rankOf(p), float64(diedAt))
-	}
+	ft.det.OnDeclare = ft.declare
 	return ft
 }
 
 // rankOf resolves a rank process to its rank, -1 for helpers.
-func (ft *ftState) rankOf(p *sim.Proc) int {
-	for r, rp := range ft.procs {
+func (ft *ftState) rankOf(p proc) int {
+	for r, rp := range ft.rs.ranks {
 		if rp == p {
 			return r
 		}
@@ -195,22 +201,23 @@ func (ft *ftState) rankOf(p *sim.Proc) int {
 	return -1
 }
 
-// onFailure is the Env.OnFailure hook: classify each process death as an
-// expected plan crash (start detection, take the rank's service helpers
-// down with it) or an unexpected failure (a real bug — surfaced as a
-// *RunError). It runs on the failing goroutine before its final yield, so
-// it may schedule events but must not park.
-func (ft *ftState) onFailure(p *sim.Proc, f sim.ProcFailure) {
+// onFailure is the failure hook of both engines (Env.OnFailure and
+// Env.OnTaskFailure): classify each process death as an expected plan crash
+// (start detection, take the rank's service helpers down with it), the
+// fallout of one (a helper killed with its rank), or an unexpected failure
+// (a real bug — surfaced as a *RunError). It runs before the failing
+// process yields, so it may schedule events but must not park.
+func (ft *ftState) onFailure(p proc, f sim.ProcFailure) {
 	if _, isCrash := f.Cause.(sim.Crashed); isCrash {
 		if r := ft.rankOf(p); r >= 0 {
 			ft.crashed[r] = true
 			// The rank's communication service thread dies with the task:
 			// kill its request helpers so they cannot keep driving the
 			// dead rank's side of a protocol.
-			for _, hp := range ft.rs.helpers[r] {
-				ft.env.Kill(hp, fmt.Sprintf("rank %d crashed", r))
+			for _, h := range ft.rs.helpers[r] {
+				ft.rs.eng.kill(ft.env, h, fmt.Sprintf("rank %d crashed", r))
 			}
-			ft.det.NotifyDeath(p, f.Time)
+			ft.det.NotifyDeath(r, f.Time)
 			return
 		}
 		if r, ok := ft.rs.helperRank[p.Name()]; ok && ft.crashed[r] {
@@ -224,7 +231,7 @@ func (ft *ftState) onFailure(p *sim.Proc, f sim.ProcFailure) {
 // endpoint death, interrupts into blocked collectives, rendezvous
 // re-checks. Deterministic: runs as a scheduled simulator event.
 func (ft *ftState) declare(d int, diedAt float64) {
-	if d < 0 || ft.failed[d] {
+	if ft.failed[d] {
 		return
 	}
 	ft.failed[d] = true
@@ -241,11 +248,7 @@ func (ft *ftState) declare(d int, diedAt float64) {
 		if !reg.active || !reg.c.hasMember(d) {
 			continue
 		}
-		if reg.t != nil {
-			ft.env.InterruptTask(reg.t, ftInterrupt{failed: ft.failedIn(reg.c.memberList())})
-			continue
-		}
-		ft.env.Interrupt(reg.p, ftInterrupt{failed: ft.failedIn(reg.c.memberList())})
+		ft.rs.eng.interrupt(ft.env, reg.p, ftInterrupt{failed: ft.failedIn(reg.c.memberList())})
 	}
 	// Pending rendezvous may now be complete (the failed rank was the
 	// straggler). Sorted key order keeps the replay bit-identical.
@@ -279,8 +282,8 @@ func (ft *ftState) failedIn(members []int) []int {
 	return out
 }
 
-// register adds an in-progress operation to the interrupt set.
-func (ft *ftState) register(p *sim.Proc, c *Comm) *ftReg {
+// register adds an in-progress operation, run by p, to the interrupt set.
+func (ft *ftState) register(p proc, c *Comm) *ftReg {
 	reg := &ftReg{p: p, c: c, active: true}
 	ft.inflight = append(ft.inflight, reg)
 	return reg
@@ -363,6 +366,58 @@ func (c *Comm) ftRun(opName string, p *sim.Proc, fn func()) (err error) {
 	return nil
 }
 
+// ftRunT is ftRun for task t (the rank itself for blocking calls, a request
+// helper for non-blocking ones), in continuation-passing form. fn receives
+// the completion continuation it must call when the operation finishes; k
+// receives nil on success or the *RankFailedError when a member
+// declaration interrupts the operation or is already known at entry. A
+// Task has no stack to unwind: declaration delivers Env.InterruptTask, and
+// the OnInterrupt handler armed here runs the task's unwind stack in place
+// of the Proc's deferred restores.
+func (c *Comm) ftRunT(opName string, t *sim.Task, fn func(fin func()), k func(error)) {
+	ft := c.rs.ft
+	if ft == nil {
+		fn(func() { k(nil) })
+		return
+	}
+	// Register before the membership check, exactly like ftRun: a
+	// declaration landing between the check and the operation's first park
+	// must find the registration.
+	reg := ft.register(t, c)
+	if fr := ft.failedIn(c.memberList()); len(fr) > 0 {
+		ft.deregister(reg)
+		k(&RankFailedError{Op: opName, Rank: c.rank, Failed: fr})
+		return
+	}
+	prevH := t.OnInterrupt
+	prevArmed := t.UnwindArmed()
+	t.SetUnwindArmed(true)
+	restore := func() {
+		t.OnInterrupt = prevH
+		t.SetUnwindArmed(prevArmed)
+		ft.deregister(reg)
+	}
+	t.OnInterrupt = func(payload any) {
+		fi, ok := payload.(ftInterrupt)
+		if !ok {
+			// Not a failure declaration: die with the payload, as a Proc
+			// re-panics from ftRun's recover (the armed unwinds run in
+			// failTask, like the Proc's defers).
+			panic(payload)
+		}
+		t.RunUnwinds()
+		restore()
+		// The unwind may have skipped an interrupt re-enable inside the
+		// protocol; restoring is idempotent when nothing was pending.
+		c.dom.Endpoint(c.rank).SetInterrupts(true)
+		k(&RankFailedError{Op: opName, Rank: c.rank, Failed: fi.failed})
+	}
+	fn(func() {
+		restore()
+		k(nil)
+	})
+}
+
 // ftKey names this communicator's rendezvous stream: the member list, or
 // "world".
 func (c *Comm) ftKey() string {
@@ -409,59 +464,81 @@ func (c *Comm) FailedRanks() []int {
 	return c.rs.ft.failedIn(c.memberList())
 }
 
-// ftSync runs one rendezvous round on the communicator: every surviving
-// member must call it (in the same per-communicator FT-op order), and all
-// are released together once the last survivor arrives. The round is
-// charged a dissemination-style cost of 2*ceil(log2 n) message latencies.
-func (c *Comm) ftSync(kind string, flag uint64) (*ftGather, error) {
+// ftSync runs one rendezvous round on the communicator, on t (the rank's
+// task, or its Proc's hosted task): every surviving member must call it
+// (in the same per-communicator FT-op order), and all are released
+// together once the last survivor arrives. The round is charged a
+// dissemination-style cost of 2*ceil(log2 n) message latencies. The
+// bookkeeping runs synchronously; only the survivor park and the cost
+// sleep suspend t.
+func (c *Comm) ftSync(t *sim.Task, kind string, flag uint64, k func(*ftGather, error)) {
 	ft := c.rs.ft
 	if ft == nil {
-		return nil, errors.New("srmcoll: " + kind + " requires fault tolerance (Cluster.SetFaultTolerance)")
+		k(nil, errors.New("srmcoll: "+kind+" requires fault tolerance (Cluster.SetFaultTolerance)"))
+		return
 	}
 	if ft.failed[c.rank] {
 		// A declared rank that is somehow still running (cannot happen
 		// for real crashes) must not join the survivors' rendezvous.
-		return nil, &RankFailedError{Op: kind, Rank: c.rank, Failed: []int{c.rank}}
+		k(nil, &RankFailedError{Op: kind, Rank: c.rank, Failed: []int{c.rank}})
+		return
 	}
-	c.quiesce()
-	key := c.ftKey()
-	byRank := ft.rounds[key]
-	if byRank == nil {
-		byRank = make(map[int]int)
-		ft.rounds[key] = byRank
-	}
-	round := byRank[c.rank]
-	byRank[c.rank] = round + 1
-	gkey := key + "#" + strconv.Itoa(round)
-	g := ft.gathers[gkey]
-	if g == nil {
-		g = &ftGather{
-			key: gkey, kind: kind, members: c.Members(),
-			entered:   make(map[int]uint64),
-			ev:        ft.env.NewEvent().Named(kind + " " + gkey),
-			startedAt: float64(ft.env.Now()),
+	c.quiesceT(t, func() {
+		key := c.ftKey()
+		byRank := ft.rounds[key]
+		if byRank == nil {
+			byRank = make(map[int]int)
+			ft.rounds[key] = byRank
 		}
-		ft.gathers[gkey] = g
-	}
-	if g.kind != kind {
-		panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s but other members are in %s: FT operations must be called in the same order on every member",
-			c.rank, kind, key, g.kind))
-	}
-	g.entered[c.rank] = flag
-	ft.checkGather(g)
-	var cls trace.Class
-	if kind == "agree" {
-		cls = trace.ClassAgree
-	} else {
-		cls = trace.ClassShrink
-	}
-	id := c.tr.Begin(c.p.Track(), cls, kind, 0)
-	if !g.done {
-		c.p.Wait(g.ev)
-	}
-	c.p.Sleep(c.ftSyncCost(len(g.members)))
-	c.tr.End(id)
-	return g, nil
+		round := byRank[c.rank]
+		byRank[c.rank] = round + 1
+		gkey := key + "#" + strconv.Itoa(round)
+		g := ft.gathers[gkey]
+		if g == nil {
+			g = &ftGather{
+				key: gkey, kind: kind, members: c.Members(),
+				entered:   make(map[int]uint64),
+				ev:        ft.env.NewEvent().Named(kind + " " + gkey),
+				startedAt: float64(ft.env.Now()),
+			}
+			ft.gathers[gkey] = g
+		}
+		if g.kind != kind {
+			panic(fmt.Sprintf("srmcoll: rank %d entered %s on %s but other members are in %s: FT operations must be called in the same order on every member",
+				c.rank, kind, key, g.kind))
+		}
+		g.entered[c.rank] = flag
+		ft.checkGather(g)
+		var cls trace.Class
+		if kind == "agree" {
+			cls = trace.ClassAgree
+		} else {
+			cls = trace.ClassShrink
+		}
+		id := c.tr.Begin(t.Track(), cls, kind, 0)
+		fin := func() {
+			t.SleepThen(c.ftSyncCost(len(g.members)), func() {
+				c.tr.End(id)
+				k(g, nil)
+			})
+		}
+		if !g.done {
+			g.ev.WaitT(t, fin)
+			return
+		}
+		fin()
+	})
+}
+
+// ftSyncP runs ftSync for a goroutine rank, on its hosted task.
+func (c *Comm) ftSyncP(kind string, flag uint64) (g *ftGather, err error) {
+	c.p.Await(func(t *sim.Task, k func()) {
+		c.ftSync(t, kind, flag, func(gg *ftGather, e error) {
+			g, err = gg, e
+			k()
+		})
+	})
+	return g, err
 }
 
 // ftSyncCost models the agreement protocol's latency: dissemination over
@@ -484,7 +561,7 @@ func (c *Comm) ftSyncCost(n int) float64 {
 // must call it (the call blocks until they do); unlike a collective it
 // does not error on membership failures.
 func (c *Comm) Agree(flags uint64) (uint64, error) {
-	g, err := c.ftSync("agree", flags)
+	g, err := c.ftSyncP("agree", flags)
 	if err != nil {
 		return 0, err
 	}
@@ -499,9 +576,42 @@ func (c *Comm) Agree(flags uint64) (uint64, error) {
 // Collectives on the new communicator succeed as long as no *further*
 // failure hits it — another crash means another Shrink.
 func (c *Comm) Shrink() (*Comm, error) {
-	g, err := c.ftSync("shrink", 0)
+	g, err := c.ftSyncP("shrink", 0)
 	if err != nil {
 		return nil, err
 	}
 	return c.Sub(g.survivors), nil
+}
+
+// Agree is fault-tolerant agreement on a 64-bit flag word; see Comm.Agree.
+func (tc *TComm) Agree(flags uint64, k func(uint64, error)) {
+	done := func(g *ftGather, err error) {
+		if err != nil {
+			k(0, err)
+			return
+		}
+		k(g.result, nil)
+	}
+	if tc.t == nil {
+		done(tc.c.ftSyncP("agree", flags))
+		return
+	}
+	tc.c.ftSync(tc.t, "agree", flags, done)
+}
+
+// Shrink repairs the communicator after a failure; see Comm.Shrink. The
+// continuation receives the repaired communicator over the survivors.
+func (tc *TComm) Shrink(k func(*TComm, error)) {
+	done := func(g *ftGather, err error) {
+		if err != nil {
+			k(nil, err)
+			return
+		}
+		k(tc.Sub(g.survivors), nil)
+	}
+	if tc.t == nil {
+		done(tc.c.ftSyncP("shrink", 0))
+		return
+	}
+	tc.c.ftSync(tc.t, "shrink", 0, done)
 }

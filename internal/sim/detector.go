@@ -11,20 +11,22 @@ package sim
 // The collapsed form is exactly as deterministic as the explicit one and
 // costs a single scheduled event per death.
 
-// Detector turns process deaths into deterministic failure declarations.
-// Period is the heartbeat interval and Timeout the suspicion window; both
-// are virtual microseconds. OnDeclare fires exactly once per notified
-// death, at the declaration time, in event-queue order (deaths declared at
-// equal times fire in notification order).
+// Detector turns rank deaths into deterministic failure declarations.
+// Ranks are named by index, so one detector serves goroutine and Task
+// ranks alike. Period is the heartbeat interval and Timeout the suspicion
+// window; both are virtual microseconds. OnDeclare fires exactly once per
+// notified death, at the declaration time, in event-queue order (deaths
+// declared at equal times fire in notification order).
 type Detector struct {
 	env     *Env
 	Period  Time
 	Timeout Time
 
-	// OnDeclare is invoked at declaration time with the dead process and
-	// the time it died. It runs as an event callback: scheduling further
-	// events and interrupting other processes is allowed, parking is not.
-	OnDeclare func(p *Proc, diedAt Time)
+	// OnDeclare is invoked at declaration time with the dead rank's index
+	// and the time it died. It runs as an event callback: scheduling
+	// further events and interrupting other processes is allowed, parking
+	// is not.
+	OnDeclare func(rank int, diedAt Time)
 }
 
 // NewDetector returns a detector on env. Non-positive period or timeout
@@ -51,13 +53,13 @@ func (d *Detector) DeclareTime(diedAt Time) Time {
 	return beats*d.Period + d.Period + d.Timeout
 }
 
-// NotifyDeath schedules the declaration of p's death at diedAt. The caller
-// is responsible for notifying each death exactly once (typically from
-// Env.OnFailure).
-func (d *Detector) NotifyDeath(p *Proc, diedAt Time) {
+// NotifyDeath schedules the declaration of rank's death at diedAt. The
+// caller is responsible for notifying each death exactly once (typically
+// from Env.OnFailure or Env.OnTaskFailure).
+func (d *Detector) NotifyDeath(rank int, diedAt Time) {
 	d.env.At(d.DeclareTime(diedAt), func() {
 		if d.OnDeclare != nil {
-			d.OnDeclare(p, diedAt)
+			d.OnDeclare(rank, diedAt)
 		}
 	})
 }

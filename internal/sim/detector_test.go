@@ -36,15 +36,16 @@ func TestDetectorDeclaresOnceAtDeclareTime(t *testing.T) {
 	e := NewEnv()
 	d := NewDetector(e, 50, 100)
 	var declared []string
-	d.OnDeclare = func(p *Proc, diedAt Time) {
-		declared = append(declared, fmt.Sprintf("%s died=%v at=%v", p.Name(), diedAt, e.Now()))
-	}
 	victim := e.Spawn("victim", func(p *Proc) { p.Sleep(1000) })
+	ranks := []*Proc{victim} // the victim is rank 0
+	d.OnDeclare = func(rank int, diedAt Time) {
+		declared = append(declared, fmt.Sprintf("%s died=%v at=%v", ranks[rank].Name(), diedAt, e.Now()))
+	}
 	e.At(30, func() { e.Kill(victim, "crash") })
 	e.OnFailure = func(p *Proc, f ProcFailure) {
 		var c Crashed
 		if errors.As(asError(f.Cause), &c) {
-			d.NotifyDeath(p, f.Time)
+			d.NotifyDeath(0, f.Time)
 		}
 	}
 	err := e.Run()

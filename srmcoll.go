@@ -556,110 +556,77 @@ func (c *Comm) Compute(us float64) { c.p.Sleep(us) }
 // declaration lands while this rank is blocked inside it. After an error
 // the communicator needs Comm.Shrink before further collectives on it.
 
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() error {
+// op runs one blocking collective on a goroutine rank: it quiesces the
+// rank's request stream, opens the operation's root span, runs fn under
+// fault tolerance and closes the span. It is the Proc twin of TComm.opT.
+func (c *Comm) op(name string, bytes int64, fn func()) error {
 	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "barrier", 0)
-	err := c.ftRun("barrier", c.p, func() { c.coll.Barrier(c.p, c.rank) })
+	id := c.tr.Begin(c.p.Track(), trace.ClassOp, name, bytes)
+	err := c.ftRun(name, c.p, fn)
 	c.tr.End(id)
 	return err
 }
 
+// Barrier blocks until every rank has entered it.
+func (c *Comm) Barrier() error {
+	return c.op("barrier", 0, func() { c.coll.Barrier(c.p, c.rank) })
+}
+
 // Bcast broadcasts buf from root; on other ranks buf is overwritten.
 func (c *Comm) Bcast(buf []byte, root int) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "bcast", int64(len(buf)))
-	err := c.ftRun("bcast", c.p, func() { c.coll.Bcast(c.p, c.rank, buf, root) })
-	c.tr.End(id)
-	return err
+	return c.op("bcast", int64(len(buf)), func() { c.coll.Bcast(c.p, c.rank, buf, root) })
 }
 
 // Reduce combines send across ranks into recv at root (recv may be nil
 // elsewhere).
 func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "reduce", int64(len(send)))
-	err := c.ftRun("reduce", c.p, func() { c.coll.Reduce(c.p, c.rank, send, recv, dt, op, root) })
-	c.tr.End(id)
-	return err
+	return c.op("reduce", int64(len(send)), func() { c.coll.Reduce(c.p, c.rank, send, recv, dt, op, root) })
 }
 
 // Allreduce combines send across ranks into every rank's recv.
 func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "allreduce", int64(len(send)))
-	err := c.ftRun("allreduce", c.p, func() { c.coll.Allreduce(c.p, c.rank, send, recv, dt, op) })
-	c.tr.End(id)
-	return err
+	return c.op("allreduce", int64(len(send)), func() { c.coll.Allreduce(c.p, c.rank, send, recv, dt, op) })
 }
 
 // Gather collects every rank's send block into recv at root (recv must
 // hold Size()*len(send) bytes there; it is ignored elsewhere).
 func (c *Comm) Gather(send, recv []byte, root int) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "gather", int64(len(send)))
-	err := c.ftRun("gather", c.p, func() { c.coll.Gather(c.p, c.rank, send, recv, root) })
-	c.tr.End(id)
-	return err
+	return c.op("gather", int64(len(send)), func() { c.coll.Gather(c.p, c.rank, send, recv, root) })
 }
 
 // Scatter distributes root's send (Size()*len(recv) bytes) so each rank
 // receives its block in recv.
 func (c *Comm) Scatter(send, recv []byte, root int) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "scatter", int64(len(recv)))
-	err := c.ftRun("scatter", c.p, func() { c.coll.Scatter(c.p, c.rank, send, recv, root) })
-	c.tr.End(id)
-	return err
+	return c.op("scatter", int64(len(recv)), func() { c.coll.Scatter(c.p, c.rank, send, recv, root) })
 }
 
 // Allgather concatenates every rank's send block into every rank's recv
 // (Size()*len(send) bytes), ordered by rank.
 func (c *Comm) Allgather(send, recv []byte) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "allgather", int64(len(send)))
-	err := c.ftRun("allgather", c.p, func() { c.coll.Allgather(c.p, c.rank, send, recv) })
-	c.tr.End(id)
-	return err
+	return c.op("allgather", int64(len(send)), func() { c.coll.Allgather(c.p, c.rank, send, recv) })
 }
 
 // Alltoall exchanges per-rank blocks: send and recv hold Size() blocks of
 // equal size; rank j receives this rank's block j at offset Rank().
 func (c *Comm) Alltoall(send, recv []byte) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "alltoall", int64(len(send)))
-	err := c.ftRun("alltoall", c.p, func() { c.coll.Alltoall(c.p, c.rank, send, recv) })
-	c.tr.End(id)
-	return err
+	return c.op("alltoall", int64(len(send)), func() { c.coll.Alltoall(c.p, c.rank, send, recv) })
 }
 
 // ReduceScatter combines every rank's send vector (Size()*len(recv)
 // bytes) elementwise and delivers reduced block i to rank i in recv.
 func (c *Comm) ReduceScatter(send, recv []byte, dt Datatype, op Op) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "reducescatter", int64(len(send)))
-	err := c.ftRun("reducescatter", c.p, func() { c.coll.ReduceScatter(c.p, c.rank, send, recv, dt, op) })
-	c.tr.End(id)
-	return err
+	return c.op("reducescatter", int64(len(send)), func() { c.coll.ReduceScatter(c.p, c.rank, send, recv, dt, op) })
 }
 
 // Scan leaves in recv the reduction of the send buffers of all ranks with
 // rank <= this one (inclusive prefix reduction).
 func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "scan", int64(len(send)))
-	err := c.ftRun("scan", c.p, func() { c.coll.Scan(c.p, c.rank, send, recv, dt, op) })
-	c.tr.End(id)
-	return err
+	return c.op("scan", int64(len(send)), func() { c.coll.Scan(c.p, c.rank, send, recv, dt, op) })
 }
 
 // Exscan is the exclusive prefix reduction; rank 0's recv is zeroed.
 func (c *Comm) Exscan(send, recv []byte, dt Datatype, op Op) error {
-	c.quiesce()
-	id := c.tr.Begin(c.p.Track(), trace.ClassOp, "exscan", int64(len(send)))
-	err := c.ftRun("exscan", c.p, func() { c.coll.Exscan(c.p, c.rank, send, recv, dt, op) })
-	c.tr.End(id)
-	return err
+	return c.op("exscan", int64(len(send)), func() { c.coll.Exscan(c.p, c.rank, send, recv, dt, op) })
 }
 
 // The Float64 convenience wrappers have no error return; under fault
@@ -755,8 +722,42 @@ func (sc *SharedCounter) CompareAndSwap(c *Comm, expect, v int64) int64 {
 //   - a run stopped by a FaultPlan deadline returns a *StallError with the
 //     same blocked-rank report.
 func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
+	return cl.runRanks(impl, rankEngine{
+		spawn: func(env *sim.Env, c *Comm) proc {
+			return env.SpawnIndexed("rank", c.rank, func(p *sim.Proc) {
+				c.p = p
+				body(c)
+				c.finish()
+			})
+		},
+		kill:      func(env *sim.Env, p proc, reason string) { env.Kill(p.(*sim.Proc), reason) },
+		interrupt: func(env *sim.Env, p proc, payload any) { env.Interrupt(p.(*sim.Proc), payload) },
+		stall:     func(env *sim.Env, p proc, factor float64) { env.SetSlowdown(p.(*sim.Proc), factor) },
+	})
+}
+
+// rankEngine is what Run and RunT each supply to the run harness: how to
+// start a rank's body, and how to crash, interrupt or stall a rank or
+// request-helper process of the engine's kind. Everything else about a run
+// is engine-agnostic (runRanks).
+type rankEngine struct {
+	spawn     func(env *sim.Env, c *Comm) proc // start rank c.rank's body; it calls c.finish when it returns
+	kill      func(env *sim.Env, p proc, reason string)
+	interrupt func(env *sim.Env, p proc, payload any)
+	stall     func(env *sim.Env, p proc, factor float64) // nil: the engine has no stall windows
+}
+
+// runRanks is the run harness behind Run and RunT: it validates the fault
+// plan, builds the simulation (machine, fault injector, RMA domain,
+// implementation, tracing, request streams, fault tolerance), schedules the
+// plan's faults, starts every rank on eng, runs to completion or the plan's
+// deadline, and classifies the outcome.
+func (cl *Cluster) runRanks(impl Impl, eng rankEngine) (*Result, error) {
 	if err := cl.faults.Validate(cl.cfg.P()); err != nil {
 		return nil, err
+	}
+	if len(cl.faults.Stalls) > 0 && eng.stall == nil {
+		return nil, fmt.Errorf("srmcoll: stall fault windows require EngineProcs (per-task slowdown has no Task-engine equivalent)")
 	}
 	env := sim.NewEnv()
 	m := machine.New(env, cl.cfg)
@@ -784,34 +785,29 @@ func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
 		env.Trace = trace.New(env.Now)
 	}
 	counters := make(map[string]*SharedCounter)
-	rs := newRunState(env, m.P())
-	res := &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
-	procs := make([]*sim.Proc, m.P())
+	rs := newRunState(env, eng, m.P())
 	var ft *ftState
 	if cl.ft.Enabled {
 		ft = newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
-		ft.procs = procs
 		rs.ft = ft
-		env.OnFailure = ft.onFailure
+		env.OnFailure = func(p *sim.Proc, f sim.ProcFailure) { ft.onFailure(p, f) }
+		env.OnTaskFailure = func(t *sim.Task, f sim.ProcFailure) { ft.onFailure(t, f) }
 	}
 	// Schedule fault callbacks before spawning the ranks so a window opening
 	// at t=0 is already in force when the first rank runs. The closures index
-	// procs at fire time; the slice is fully populated before the run starts.
+	// the rank processes at fire time; the slice is fully populated before
+	// the run starts.
 	if inj != nil {
-		cl.scheduleFaults(env, inj, procs)
+		cl.scheduleFaults(env, inj, rs)
 	}
-	for r := 0; r < m.P(); r++ {
-		r := r
-		procs[r] = env.SpawnIndexed("rank", r, func(p *sim.Proc) {
-			comm := &Comm{p: p, rank: r, size: m.P(), m: m, dom: dom,
-				counters: counters, coll: coll, tr: env.Trace, rs: rs}
-			body(comm)
-			comm.checkDrained()
-			res.PerRank[r] = p.Now()
-		})
+	for r := range rs.ranks {
+		c := &Comm{rank: r, size: m.P(), m: m, dom: dom,
+			counters: counters, coll: coll, tr: env.Trace, rs: rs}
+		rp := eng.spawn(env, c)
+		rs.ranks[r] = rp
 		if env.Trace != nil {
-			procs[r].SetTrack(r)
-			env.Trace.NameTrack(r, procs[r].Name())
+			rp.SetTrack(r)
+			env.Trace.NameTrack(r, rp.Name())
 		}
 	}
 
@@ -831,7 +827,7 @@ func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
 			if ft != nil {
 				first = ft.unexpected[0]
 			}
-			return nil, runErrorFrom(first, procs, rs.helperRank)
+			return nil, runErrorFrom(first, rs.ranks, rs.helperRank)
 		}
 		// Every failure was an expected injected crash: the run's outcome is
 		// what the survivors did, decided below.
@@ -853,6 +849,7 @@ func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
+	res := &Result{PerRank: rs.perRank, Trace: env.Trace}
 	for _, t := range res.PerRank {
 		if t > res.Time {
 			res.Time = t
@@ -870,34 +867,41 @@ func (cl *Cluster) Run(impl Impl, body func(*Comm)) (*Result, error) {
 	return res, nil
 }
 
-// scheduleFaults wires the plan's crashes and stall windows to the spawned
-// rank processes.
-func (cl *Cluster) scheduleFaults(env *sim.Env, inj *fault.Injector, procs []*sim.Proc) {
+// finish records the rank's completion once its body returned, after
+// checking that it left no request behind.
+func (c *Comm) finish() {
+	c.checkDrained()
+	c.rs.perRank[c.rank] = float64(c.rs.env.Now())
+}
+
+// scheduleFaults wires the plan's crashes and stall windows to the rank
+// processes.
+func (cl *Cluster) scheduleFaults(env *sim.Env, inj *fault.Injector, rs *runState) {
 	for _, cr := range cl.faults.Crashes {
 		cr := cr
 		env.At(cr.At, func() {
 			inj.CountCrash()
-			env.Kill(procs[cr.Rank], fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
+			rs.eng.kill(env, rs.ranks[cr.Rank], fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
 		})
 	}
 	for _, st := range cl.faults.Stalls {
 		st := st
 		env.At(st.From, func() {
 			inj.CountStall()
-			env.SetSlowdown(procs[st.Rank], st.Factor)
+			rs.eng.stall(env, rs.ranks[st.Rank], st.Factor)
 		})
-		env.At(st.Until, func() { env.SetSlowdown(procs[st.Rank], 1) })
+		env.At(st.Until, func() { rs.eng.stall(env, rs.ranks[st.Rank], 1) })
 	}
 }
 
 // runErrorFrom converts a recovered process failure into a *RunError. The
-// failed rank is resolved by scanning the (small) proc slice — a cold path,
-// so Run need not build an eager name-to-rank map — falling back to the
-// helper-process registry when a non-blocking request's helper failed.
-func runErrorFrom(f sim.ProcFailure, procs []*sim.Proc, helperRank map[string]int) *RunError {
+// failed rank is resolved by scanning the rank processes' names — a cold
+// path, so a run need not build an eager name-to-rank map — falling back
+// to the helper registry when a non-blocking request's helper failed.
+func runErrorFrom(f sim.ProcFailure, ranks []proc, helperRank map[string]int) *RunError {
 	re := &RunError{Op: "run"}
 	found := false
-	for r, p := range procs {
+	for r, p := range ranks {
 		if p.Name() == f.Proc {
 			re.Rank = r
 			found = true

@@ -13,16 +13,15 @@ package srmcoll
 // collective bodies in internal/core directly. Both reach the same
 // bodies — a Comm call runs them through the zero-item sim.Proc.Await
 // bridge — so the two engines are bit-identical: same Result.Time,
-// PerRank, Stats, Events, buffer contents, and trace timings.
+// PerRank, Stats, Events, buffer contents, and trace timings. The request
+// stream (request.go), the fault-tolerance runtime (ft.go) and the run
+// harness (Cluster.runRanks) are shared the same way; RunT supplies only
+// how a rank task is spawned, killed and interrupted.
 
 import (
-	"errors"
 	"fmt"
 
 	"srmcoll/internal/core"
-	"srmcoll/internal/fault"
-	"srmcoll/internal/machine"
-	"srmcoll/internal/rma"
 	"srmcoll/internal/sim"
 	"srmcoll/internal/trace"
 )
@@ -66,7 +65,13 @@ func (cl *Cluster) Engine() Engine { return cl.engine }
 type TComm struct {
 	c *Comm
 	t *sim.Task   // nil under EngineProcs
-	g *core.Group // the communicator's SRM group; nil under EngineProcs
+	g *core.Group // the communicator's SRM group (nil for the MPI baselines)
+}
+
+// newTComm wraps c for a RunT body running on t (nil under EngineProcs).
+func newTComm(c *Comm, t *sim.Task) *TComm {
+	g, _ := c.coll.collOps.(*core.Group)
+	return &TComm{c: c, t: t, g: g}
 }
 
 // Rank returns this task's global rank.
@@ -88,12 +93,7 @@ func (tc *TComm) Members() []int { return tc.c.Members() }
 func (tc *TComm) FailedRanks() []int { return tc.c.FailedRanks() }
 
 // Now returns the current virtual time in microseconds.
-func (tc *TComm) Now() float64 {
-	if tc.t == nil {
-		return tc.c.p.Now()
-	}
-	return float64(tc.c.rs.env.Now())
-}
+func (tc *TComm) Now() float64 { return tc.c.rs.env.Now() }
 
 // Compute advances this rank's virtual clock by us microseconds, then runs k.
 func (tc *TComm) Compute(us float64, k func()) {
@@ -107,53 +107,16 @@ func (tc *TComm) Compute(us float64, k func()) {
 
 // Sub returns a communicator over the given subset of global ranks; see
 // Comm.Sub for the membership and call-matching rules.
-func (tc *TComm) Sub(members []int) *TComm {
-	if tc.t == nil {
-		return &TComm{c: tc.c.Sub(members)}
-	}
-	c := tc.c
-	key := subKey{parent: c, members: fmt.Sprint(members)}
-	if s, ok := c.rs.tsubs[key]; ok {
-		return s
-	}
-	sub := &Comm{
-		rank:     c.rank,
-		size:     len(members),
-		members:  append([]int(nil), members...),
-		m:        c.m,
-		dom:      c.dom,
-		counters: c.counters,
-		tr:       c.tr,
-		rs:       c.rs,
-	}
-	s := &TComm{c: sub, t: tc.t, g: tc.g.Sub(members)}
-	c.rs.tsubs[key] = s
-	return s
-}
-
-// quiesceT is quiesce for the Task engine: order a blocking collective
-// after every outstanding request of this rank.
-func (tc *TComm) quiesceT(k func()) {
-	c := tc.c
-	if c.rs == nil {
-		k()
-		return
-	}
-	if st := c.rs.streams[c.rank]; st.tail != nil && !st.tail.Done() {
-		st.tail.WaitT(tc.t, k)
-		return
-	}
-	k()
-}
+func (tc *TComm) Sub(members []int) *TComm { return newTComm(tc.c.Sub(members), tc.t) }
 
 // opT wraps a Task-engine collective entry: request-stream quiesce, the
 // root trace span, and fault-tolerant execution, mirroring the blocking
-// Comm methods step for step.
+// Comm methods (Comm.op) step for step.
 func (tc *TComm) opT(name string, bytes int64, run func(t *sim.Task, fin func()), k func(error)) {
 	c := tc.c
-	tc.quiesceT(func() {
+	c.quiesceT(tc.t, func() {
 		id := c.tr.Begin(tc.t.Track(), trace.ClassOp, name, bytes)
-		tc.ftRunT(name, tc.t, func(fin func()) { run(tc.t, fin) }, func(err error) {
+		c.ftRunT(name, tc.t, func(fin func()) { run(tc.t, fin) }, func(err error) {
 			c.tr.End(id)
 			k(err)
 		})
@@ -292,132 +255,17 @@ func (tc *TComm) Exscan(send, recv []byte, dt Datatype, op Op, k func(error)) {
 func (cl *Cluster) RunT(impl Impl, body func(tc *TComm, done func())) (*Result, error) {
 	if cl.engine == EngineProcs {
 		return cl.Run(impl, func(c *Comm) {
-			body(&TComm{c: c}, func() {})
+			body(newTComm(c, nil), func() {})
 		})
 	}
 	if impl != SRM {
 		return nil, fmt.Errorf("srmcoll: the Tasks engine supports only the SRM implementation (got %s); use EngineProcs for baselines", impl)
 	}
-	if err := cl.faults.Validate(cl.cfg.P()); err != nil {
-		return nil, err
-	}
-	if len(cl.faults.Stalls) > 0 {
-		return nil, fmt.Errorf("srmcoll: stall fault windows require EngineProcs (per-task slowdown has no Task-engine equivalent)")
-	}
-	env := sim.NewEnv()
-	m := machine.New(env, cl.cfg)
-	var inj *fault.Injector
-	if cl.faults.Active() {
-		inj = fault.New(cl.faults)
-		m.Faults = inj
-	}
-	dom := rma.NewDomain(m)
-	if cl.faults.Reliable {
-		dom.EnableReliable(cl.faults.AckTimeout, cl.faults.BackoffCap)
-	}
-	world := core.New(m, dom, cl.coreOptions()).World()
-	if cl.tracing {
-		env.Trace = trace.New(env.Now)
-	}
-	counters := make(map[string]*SharedCounter)
-	rs := newRunState(env, m.P())
-	res := &Result{PerRank: make([]float64, m.P()), Trace: env.Trace}
-	tasks := make([]*sim.Task, m.P())
-	var ft *ftState
-	if cl.ft.Enabled {
-		ft = newFTState(env, dom.MarkDead, m.P(), rs, cl.ft)
-		ft.tasks = tasks
-		rs.ft = ft
-		env.OnTaskFailure = ft.onTaskFailure
-	}
-	if inj != nil {
-		cl.scheduleFaultsT(env, inj, tasks)
-	}
-	for r := 0; r < m.P(); r++ {
-		r := r
-		tasks[r] = env.SpawnTask("rank", r, func(t *sim.Task) {
-			comm := &Comm{rank: r, size: m.P(), m: m, dom: dom,
-				counters: counters, tr: env.Trace, rs: rs}
-			tc := &TComm{c: comm, t: t, g: world}
-			body(tc, func() {
-				comm.checkDrained()
-				res.PerRank[r] = float64(env.Now())
-			})
-		})
-		if env.Trace != nil {
-			tasks[r].SetTrack(r)
-			env.Trace.NameTrack(r, tasks[r].Name())
-		}
-	}
-
-	var runErr error
-	if cl.faults.Deadline > 0 {
-		runErr = env.RunUntil(cl.faults.Deadline)
-	} else {
-		runErr = env.Run()
-	}
-	var ce *sim.CrashError
-	if errors.As(runErr, &ce) {
-		if ft == nil || len(ft.unexpected) > 0 {
-			first := ce.Failures[0]
-			if ft != nil {
-				first = ft.unexpected[0]
-			}
-			return nil, runErrorFromTasks(first, tasks, rs.helperRank)
-		}
-		runErr = nil
-	}
-	if runErr == nil && env.Live() > 0 {
-		if env.Idle() {
-			return nil, env.DeadlockReport()
-		}
-		var sum FaultSummary
-		if inj != nil {
-			sum = inj.Summary()
-		}
-		return nil, &StallError{Time: env.Now(), Blocked: env.Blocked(), Faults: sum}
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	for _, ti := range res.PerRank {
-		if ti > res.Time {
-			res.Time = ti
-		}
-	}
-	res.Stats = *m.Stats
-	res.Events = env.Events()
-	if inj != nil {
-		res.Faults = inj.Summary()
-	}
-	if ft != nil {
-		res.Failures = ft.failures
-		res.Repairs = ft.repairs
-	}
-	return res, nil
-}
-
-// scheduleFaultsT wires the plan's crashes to the spawned rank tasks.
-// Stall windows are rejected before RunT gets here.
-func (cl *Cluster) scheduleFaultsT(env *sim.Env, inj *fault.Injector, tasks []*sim.Task) {
-	for _, cr := range cl.faults.Crashes {
-		cr := cr
-		env.At(cr.At, func() {
-			inj.CountCrash()
-			env.KillTask(tasks[cr.Rank], fmt.Sprintf("injected crash of rank %d at t=%.3f", cr.Rank, cr.At))
-		})
-	}
-}
-
-// runErrorFromTasks is runErrorFrom with rank resolution over the Task
-// slice instead of the Proc slice.
-func runErrorFromTasks(f sim.ProcFailure, tasks []*sim.Task, helperRank map[string]int) *RunError {
-	for r, t := range tasks {
-		if t.Name() == f.Proc {
-			re := runErrorFrom(f, nil, helperRank)
-			re.Rank = r
-			return re
-		}
-	}
-	return runErrorFrom(f, nil, helperRank)
+	return cl.runRanks(impl, rankEngine{
+		spawn: func(env *sim.Env, c *Comm) proc {
+			return env.SpawnTask("rank", c.rank, func(t *sim.Task) { body(newTComm(c, t), c.finish) })
+		},
+		kill:      func(env *sim.Env, p proc, reason string) { env.KillTask(p.(*sim.Task), reason) },
+		interrupt: func(env *sim.Env, p proc, payload any) { env.InterruptTask(p.(*sim.Task), payload) },
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -793,5 +794,158 @@ func TestTaskEngineMisuseDiagnosed(t *testing.T) {
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("dropped request not diagnosed: %v", err)
+	}
+}
+
+// TestTaskEngineCrashSweep runs the survivor protocol under seeded crash
+// plans on both engines: one or two crashes at drawn ranks and times, on a
+// flat and a three-tier topology. Each rank alternates a non-blocking
+// allreduce overlapped with compute and a blocking allreduce; on a member
+// failure (or after the last round) every survivor Shrinks and Agrees on
+// the bitmask of rounds it completed, then resumes from the agreed round.
+// The engines must agree on every Failure, Repair, time and event count,
+// every survivor must see one Agree value, and some crashes must land
+// while the dying rank had an allreduce request outstanding.
+func TestTaskEngineCrashSweep(t *testing.T) {
+	const rounds, compute, size = 6, 30.0, 256
+	inFlight := 0 // crashes that hit a rank with an outstanding request
+	for _, topo := range []string{"4x4", "12x4/3"} {
+		for seed := int64(1); seed <= 6; seed++ {
+			cfg, err := ParseTopo(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			P := cfg.P()
+			rng := rand.New(rand.NewSource(seed))
+			window := rounds * (compute + 40)
+			plan := FaultPlan{Seed: uint64(seed), Deadline: 1e6}
+			for _, r := range rng.Perm(P)[:1+rng.Intn(2)] {
+				plan.Crashes = append(plan.Crashes, Crash{Rank: r, At: rng.Float64() * window})
+			}
+			cl.SetFaultPlan(plan)
+			cl.SetFaultTolerance(DefaultFTConfig())
+			// pending[r] is set while rank r has an IAllreduce issued and not
+			// yet waited, per engine; agreed[r] is r's last Agree value.
+			pending := map[string][]bool{}
+			agreed := map[string][]uint64{}
+			mk := func(P int) (func(tc *TComm, done func()), func(t *testing.T, eng string)) {
+				pend := make([]bool, P)
+				agr := make([]uint64, P)
+				body := func(tc *TComm, done func()) {
+					r := tc.Rank()
+					send := make([]byte, size)
+					recv := make([]byte, size)
+					comm, completed := tc, 0
+					var round func()
+					repair := func() {
+						comm.Shrink(func(nc *TComm, err error) {
+							if err != nil {
+								panic(err)
+							}
+							mask := uint64(1)<<uint(completed) - 1
+							nc.Agree(mask, func(v uint64, err error) {
+								if err != nil {
+									panic(err)
+								}
+								agr[r] = v
+								comm, completed = nc, 0
+								for v&1 == 1 {
+									completed++
+									v >>= 1
+								}
+								if completed >= rounds {
+									done()
+									return
+								}
+								round()
+							})
+						})
+					}
+					next := func(err error) {
+						if err == nil {
+							completed++
+							round()
+							return
+						}
+						if !errors.Is(err, ErrRankFailed) {
+							panic(fmt.Sprintf("rank %d round %d: %v", r, completed, err))
+						}
+						repair()
+					}
+					round = func() {
+						if completed >= rounds {
+							repair()
+							return
+						}
+						if completed%2 == 1 {
+							comm.Allreduce(send, recv, Int64, Sum, next)
+							return
+						}
+						comm.IAllreduce(send, recv, Int64, Sum, func(rq *TRequest) {
+							pend[r] = true
+							comm.Compute(compute, func() {
+								rq.Wait(func(err error) {
+									pend[r] = false
+									next(err)
+								})
+							})
+						})
+					}
+					round()
+				}
+				check := func(t *testing.T, eng string) {
+					pending[eng], agreed[eng] = pend, agr
+				}
+				return body, check
+			}
+			name := fmt.Sprintf("%s/seed%d", topo, seed)
+			t.Run(name, func(t *testing.T) {
+				rp, rt := runBothEngines(t, cl, SRM, mk)
+				if !reflect.DeepEqual(rp.Failures, rt.Failures) {
+					t.Errorf("Failures: procs %+v, tasks %+v", rp.Failures, rt.Failures)
+				}
+				if !reflect.DeepEqual(rp.Repairs, rt.Repairs) {
+					t.Errorf("Repairs: procs %+v, tasks %+v", rp.Repairs, rt.Repairs)
+				}
+				if len(rp.Failures) == 0 || len(rp.Repairs) == 0 {
+					t.Fatalf("plan %+v: no failure declared or repaired (failures %+v, repairs %+v)",
+						plan.Crashes, rp.Failures, rp.Repairs)
+				}
+				failed := map[int]bool{}
+				for _, f := range rp.Failures {
+					failed[f.Rank] = true
+					if pending["procs"][f.Rank] != pending["tasks"][f.Rank] {
+						t.Errorf("rank %d: request outstanding at death differs across engines", f.Rank)
+					}
+					if pending["procs"][f.Rank] {
+						inFlight++
+					}
+				}
+				for _, eng := range []string{"procs", "tasks"} {
+					want, first := uint64(0), true
+					for r := 0; r < P; r++ {
+						if failed[r] {
+							continue
+						}
+						if first {
+							want, first = agreed[eng][r], false
+						}
+						if agreed[eng][r] != want {
+							t.Errorf("%s: survivor %d agreed %#x, survivors before it %#x", eng, r, agreed[eng][r], want)
+						}
+					}
+					if want != 1<<rounds-1 {
+						t.Errorf("%s: final agreement %#x, want all %d rounds", eng, want, rounds)
+					}
+				}
+			})
+		}
+	}
+	if inFlight == 0 {
+		t.Error("no crash landed while the dying rank had a request outstanding")
 	}
 }
